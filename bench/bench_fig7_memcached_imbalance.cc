@@ -91,7 +91,8 @@ runPoint(uint32_t threads, bool pinned, double target_qps,
 int
 main(int argc, char **argv)
 {
-    bench::parseCommonFlags(argc, argv);
+    bench::parseCommonFlags(argc, argv,
+                            bench::Sharding::SingleProcessOnly);
     bench::banner("Figure 7",
                   "memcached tail latency: thread imbalance on a 4-core "
                   "server");

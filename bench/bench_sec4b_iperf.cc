@@ -45,7 +45,8 @@ runOnce(uint32_t segment_bytes, double duration_ms)
 int
 main(int argc, char **argv)
 {
-    bench::parseCommonFlags(argc, argv);
+    bench::parseCommonFlags(argc, argv,
+                            bench::Sharding::SingleProcessOnly);
     bench::banner("Section IV-B",
                   "iperf3 bandwidth over the OS network stack");
     double ms = bench::fullScale() ? 20.0 : 5.0;

@@ -89,24 +89,23 @@ buildMesh(Fabric fabric, Rank &r0, Rank &r1)
     if (fabric == Fabric::Shm)
         opts0.transport = opts1.transport = TransportKind::Shm;
 
+    PeerLinks l0, l1;
     if (fabric == Fabric::Loopback) {
         auto [end0, end1] = loopbackLinkPair();
-        std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>> l0,
-            l1;
         l0.emplace_back(1, std::move(end0));
         l1.emplace_back(0, std::move(end1));
-        r0.transport =
-            ShardTransport::fromLinks(opts0, std::move(l0), 7);
-        r1.transport =
-            ShardTransport::fromLinks(opts1, std::move(l1), 7);
     } else {
         auto [fd0, fd1] = localSocketPair();
         std::vector<std::pair<uint32_t, SocketFd>> v0, v1;
         v0.emplace_back(1, std::move(fd0));
         v1.emplace_back(0, std::move(fd1));
-        r0.transport = ShardTransport::fromFds(opts0, std::move(v0), 7);
-        r1.transport = ShardTransport::fromFds(opts1, std::move(v1), 7);
+        l0 = socketpairLinks(0, std::move(v0), opts0.transport,
+                             opts0.shmRingBytes);
+        l1 = socketpairLinks(1, std::move(v1), opts1.transport,
+                             opts1.shmRingBytes);
     }
+    r0.transport = ShardTransport::fromLinks(opts0, std::move(l0), 7);
+    r1.transport = ShardTransport::fromLinks(opts1, std::move(l1), 7);
 
     r0.transport->bindTxLink(0, 1);
     r1.transport->bindRxChannel(0, 0, &r1.rx);

@@ -164,7 +164,8 @@ runPairing(const DcShape &shape, Pairing pairing, double per_server_qps,
 int
 main(int argc, char **argv)
 {
-    bench::parseCommonFlags(argc, argv);
+    bench::parseCommonFlags(argc, argv,
+                            bench::Sharding::SingleProcessOnly);
     DcShape shape = bench::fullScale() ? DcShape{4, 8, 32}
                                        : DcShape{4, 2, 8};
     double measure_ms = bench::fullScale() ? 20.0 : 10.0;

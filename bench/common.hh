@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "base/table.hh"
@@ -480,6 +481,15 @@ parseSchedKnob(const char *what, const char *text)
     return policy;
 }
 
+/** Whether a bench can run as one rank of a sharded cluster. Benches
+ *  that drive every node by its global index cannot: a rank builds
+ *  only the nodes it owns. */
+enum class Sharding
+{
+    Supported,
+    SingleProcessOnly,
+};
+
 /**
  * Parse the flags every experiment binary understands:
  *   --parallel-hosts=N       fabric worker threads
@@ -546,10 +556,12 @@ parseSchedKnob(const char *what, const char *text)
  * Flags win over the environment. Malformed values are an error, not a
  * silent fallback. Unknown arguments are ignored so binaries stay
  * permissive. Results are bit-identical for every combination — only
- * wall-clock changes.
+ * wall-clock changes. A bench passing Sharding::SingleProcessOnly
+ * exits 2 on --shards > 1, before any rendezvous.
  */
 inline void
-parseCommonFlags(int argc, char **argv)
+parseCommonFlags(int argc, char **argv,
+                 Sharding sharding = Sharding::Supported)
 {
     if (const char *env = std::getenv("FIRESIM_PARALLEL_HOSTS"))
         parallelHostsRef() = parseUnsignedKnob("FIRESIM_PARALLEL_HOSTS",
@@ -708,6 +720,17 @@ parseCommonFlags(int argc, char **argv)
         parallelHostsRef() = 1;
     if (shardsRef() == 0) {
         std::fprintf(stderr, "error: --shards must be at least 1\n");
+        std::exit(2);
+    }
+    if (shardsRef() > 1 && sharding == Sharding::SingleProcessOnly) {
+        const char *bench = argc > 0 ? argv[0] : "this bench";
+        if (const char *slash = std::strrchr(bench, '/'))
+            bench = slash + 1;
+        std::fprintf(stderr,
+                     "error: %s does not support --shards=%u: it drives "
+                     "every node by global index, so it runs as one "
+                     "process only\n",
+                     bench, shards());
         std::exit(2);
     }
     if (shardRankRef() >= shardsRef()) {

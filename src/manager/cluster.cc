@@ -8,29 +8,6 @@
 namespace firesim
 {
 
-namespace
-{
-
-/** Per-global-index spec lookup, numbered exactly like ShardPlan
- *  (and therefore like the single-process builder). */
-struct SpecIndex
-{
-    std::vector<const SwitchSpec *> switches;
-    std::vector<const ServerSpec *> servers;
-
-    void
-    walk(const SwitchSpec &spec)
-    {
-        switches.push_back(&spec);
-        for (const auto &child : spec.childSwitches())
-            walk(*child);
-        for (const ServerSpec &server : spec.childServers())
-            servers.push_back(&server);
-    }
-};
-
-} // namespace
-
 NodeSystem::NodeSystem(BladeConfig blade_cfg, OsConfig os_cfg,
                        NetConfig net_cfg, Ip ip)
     : blade_(std::move(blade_cfg)),
@@ -54,94 +31,186 @@ Cluster::ipFor(size_t i)
     return (10u << 24) | (static_cast<Ip>(i) + 1);
 }
 
-Cluster::Cluster(SwitchSpec root, ClusterConfig config)
-    : Cluster(std::move(root), std::move(config),
-              std::vector<std::pair<uint32_t, SocketFd>>())
-{}
-
-Cluster::Cluster(SwitchSpec root, ClusterConfig config,
-                 std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>>
-                     peer_links)
-    : topo(std::move(root)), cfg(std::move(config))
+namespace
 {
-    if (topo.downlinkCount() == 0)
-        fatal("cluster topology has an empty root switch");
-    if (cfg.shard.shards <= 1)
-        fatal("peer links passed to a single-process cluster");
-    if (cfg.functionalWindow)
-        fabric_.setFunctionalMode(cfg.functionalWindow);
-    buildSharded({}, std::move(peer_links));
+
+/**
+ * Resolve this cluster's shard plan: an explicit owner map wins, then
+ * the configured policy. Everything here is a pure function of the
+ * shared config, so every rank independently computes the same plan;
+ * planHash double-checks that at rendezvous.
+ */
+ShardPlan
+planFor(const SwitchSpec &topo, const ClusterConfig &cfg)
+{
+    const ShardSpec &ss = cfg.shard;
+    auto build = [&](auto... owners) {
+        return ShardPlan::build(topo, ss.shards, cfg.linkLatency,
+                                cfg.switchLatency, cfg.functionalWindow,
+                                owners...);
+    };
+    if (!ss.owners.empty())
+        return build(ss.owners);
+    if (ss.shards == 1 || ss.policy != ShardPolicy::Cost)
+        return build();
+
+    DeploymentProfile profile;
+    if (!ss.profileIn.empty()) {
+        std::string perr;
+        profile = DeploymentProfile::loadMerged(ss.profileIn, &perr);
+        if (!perr.empty())
+            fatal("--shard-profile-in: %s", perr.c_str());
+        if (profile.empty())
+            warn("shard %u: deployment profile %s is empty or missing; "
+                 "cost policy degrades to uniform weights",
+                 ss.rank, ss.profileIn.c_str());
+    } else {
+        warn("shard %u: --shard-policy=cost without --shard-profile-in; "
+             "using uniform weights",
+             ss.rank);
+    }
+    return build(computeCostOwners(build(), profile));
 }
 
-Cluster::Cluster(SwitchSpec root, ClusterConfig config,
-                 std::vector<std::pair<uint32_t, SocketFd>> peer_fds)
-    : topo(std::move(root)), cfg(config)
+} // namespace
+
+Cluster::Cluster(SwitchSpec root, ClusterConfig config, PeerLinks links)
+    : topo(std::move(root)), cfg(std::move(config))
 {
+    const ShardSpec &ss = cfg.shard;
     if (topo.downlinkCount() == 0)
         fatal("cluster topology has an empty root switch");
+    if (ss.shards == 0 || ss.rank >= ss.shards)
+        fatal("shard rank %u >= shard count %u", ss.rank, ss.shards);
+    if (ss.shards == 1 && !links.empty())
+        fatal("peer links passed to a single-process cluster");
+    if (!links.empty() && links.size() != ss.shards - 1)
+        fatal("shard %u: %zu peer link(s) for %u shards (need one per "
+              "peer rank)",
+              ss.rank, links.size(), ss.shards);
+    std::vector<bool> linked(ss.shards, false);
+    for (const auto &[peer, link] : links) {
+        if (peer >= ss.shards || peer == ss.rank)
+            fatal("shard %u: peer link names rank %u (shards %u)",
+                  ss.rank, peer, ss.shards);
+        if (linked[peer])
+            fatal("shard %u: duplicate peer link for rank %u", ss.rank,
+                  peer);
+        linked[peer] = true;
+    }
 
     if (cfg.functionalWindow)
         fabric_.setFunctionalMode(cfg.functionalWindow);
+    plan_ = planFor(topo, cfg);
+    const ShardPlan &plan = plan_;
 
-    if (cfg.shard.shards > 1) {
-        buildSharded(std::move(peer_fds), {});
-        return;
+    // Instantiate what this rank owns, in walk order, under *global*
+    // names, MACs and IPs, so every component is indistinguishable
+    // from its single-process twin (the basis of the byte-identity
+    // tests). With one shard this rank owns everything.
+    std::vector<TokenEndpoint *> switchEp(plan.nSwitches, nullptr);
+    std::vector<TokenEndpoint *> nodeEp(plan.nServers, nullptr);
+    for (const ShardPlan::Component &c : plan.walkOrder) {
+        uint32_t g = c.index;
+        if (c.isSwitch) {
+            if (plan.switchOwner[g] != ss.rank)
+                continue;
+            SwitchConfig scfg;
+            scfg.name = csprintf("switch%u", g);
+            scfg.ports = plan.switchPorts[g];
+            scfg.minLatency = cfg.switchLatency;
+            scfg.dropBound = cfg.switchDropBound;
+            scfg.slicePorts = cfg.switchSlicePorts;
+            switchGlobal.push_back(g);
+            switches.push_back(std::make_unique<Switch>(scfg));
+            switchEp[g] = switches.back().get();
+        } else {
+            if (plan.serverOwner[g] != ss.rank)
+                continue;
+            const ServerSpec &server = plan.servers[g];
+            BladeConfig bc;
+            bc.name = csprintf("node%u", g);
+            bc.freqGhz = cfg.freqGhz;
+            bc.cores = server.cores;
+            bc.memBytes = server.memBytes;
+            bc.nic = cfg.nic;
+            bc.mac = macFor(g);
+            bc.harts = std::min(cfg.harts, server.cores);
+            bc.hart = cfg.hart;
+            OsConfig oc = cfg.os;
+            oc.cores = server.cores;
+            oc.seed = cfg.seed + g;
+            nodeGlobal.push_back(g);
+            nodes.push_back(
+                std::make_unique<NodeSystem>(bc, oc, cfg.net, ipFor(g)));
+            nodeEp[g] = &nodes.back()->blade();
+        }
+        fabric_.addEndpoint(c.isSwitch ? switchEp[g] : nodeEp[g]);
     }
-    if (!peer_fds.empty())
-        fatal("peer fds passed to a single-process cluster");
 
-    // The trivial 1-shard plan still gets computed: it carries the
-    // global numbering and topoHash that snapshots and the deployment
-    // profile are keyed by.
-    plan_ = ShardPlan::build(topo, 1, cfg.linkLatency, cfg.switchLatency,
-                             cfg.functionalWindow);
-
-    buildSubtree(topo, 0);
-
-    // Single-process build: local numbering is global numbering, and
-    // buildSubtree's connect order mirrors the plan's link order, so
-    // channel 2k carries downLinkId(k) and channel 2k+1 upLinkId(k).
-    switchGlobal.resize(switches.size());
-    for (uint32_t s = 0; s < switchGlobal.size(); ++s)
-        switchGlobal[s] = s;
-    nodeGlobal.resize(nodes.size());
-    for (uint32_t j = 0; j < nodeGlobal.size(); ++j)
-        nodeGlobal[j] = j;
-    channelGlobalLink.clear();
-    for (size_t k = 0; k < plan_.links.size(); ++k) {
-        channelGlobalLink.push_back(ShardPlan::downLinkId(k));
-        channelGlobalLink.push_back(ShardPlan::upLinkId(k));
-    }
-
-    // Populate every switch's static MAC table: for every server MAC,
-    // the port that leads toward it (a downlink when the server is in
-    // that downlink's subtree, else the uplink).
-    for (size_t s = 0; s < switches.size(); ++s) {
-        const SwitchSpec *spec = switchSpecs[s];
-        uint32_t downlinks = spec->downlinkCount();
-        bool has_uplink = (s != 0);
-        std::vector<int> port_of(nodes.size(), -1);
+    // MAC tables know the *whole* cluster: for every server MAC, the
+    // port that leads toward it (a downlink when the server is in that
+    // downlink's subtree, else the uplink), so a sharded switch
+    // forwards exactly like its single-process twin.
+    for (size_t i = 0; i < switches.size(); ++i) {
+        uint32_t s = switchGlobal[i];
+        uint32_t downlinks =
+            static_cast<uint32_t>(plan.portServers[s].size());
+        std::vector<uint32_t> port_of(plan.nServers, downlinks);
         for (uint32_t p = 0; p < downlinks; ++p)
-            for (size_t server : switchPortServers[s][p])
-                port_of[server] = static_cast<int>(p);
-        for (size_t j = 0; j < nodes.size(); ++j) {
-            if (port_of[j] >= 0) {
-                switches[s]->addMacEntry(macFor(j),
-                                         static_cast<uint32_t>(port_of[j]));
-            } else if (has_uplink) {
-                switches[s]->addMacEntry(macFor(j), downlinks);
-            } else {
-                panic("server %zu unreachable from the root switch", j);
-            }
+            for (uint32_t server : plan.portServers[s][p])
+                port_of[server] = p;
+        for (uint32_t j = 0; j < plan.nServers; ++j) {
+            if (port_of[j] == downlinks && s == 0)
+                panic("server %u unreachable from the root switch", j);
+            switches[i]->addMacEntry(macFor(j), port_of[j]);
         }
     }
 
-    // Pre-populate every node's ARP table (static addressing, like the
-    // static MAC tables: datacenter topologies are relatively fixed).
+    // Pre-populate every node's ARP table across the whole cluster
+    // (static addressing, like the static MAC tables: datacenter
+    // topologies are relatively fixed; remote nodes are as addressable
+    // as local ones).
     for (size_t i = 0; i < nodes.size(); ++i)
-        for (size_t j = 0; j < nodes.size(); ++j)
-            if (i != j)
+        for (uint32_t j = 0; j < plan.nServers; ++j)
+            if (j != nodeGlobal[i])
                 nodes[i]->net().addArp(ipFor(j), macFor(j));
+
+    // Wire the links in plan order: both ends local -> an ordinary
+    // channel pair; one end local -> a remote half-link, with the
+    // global link ids both shards derive from the same plan. The
+    // channel -> global-link map follows finalize()'s channel creation
+    // order: the local pairs (down then up) first, then every remote RX
+    // channel.
+    std::vector<uint32_t> remoteRxIds;
+    for (size_t k = 0; k < plan.links.size(); ++k) {
+        const ShardPlan::Link &l = plan.links[k];
+        TokenEndpoint *parent = switchEp[l.parentSwitch];
+        TokenEndpoint *child =
+            l.childIsSwitch ? switchEp[l.child] : nodeEp[l.child];
+        uint32_t down = ShardPlan::downLinkId(k);
+        uint32_t up = ShardPlan::upLinkId(k);
+        if (parent && child) {
+            fabric_.connect(parent, l.parentPort, child, l.childPort,
+                            cfg.linkLatency);
+            channelGlobalLink.push_back(down);
+            channelGlobalLink.push_back(up);
+        } else if (parent) {
+            fabric_.connectRemote(parent, l.parentPort, cfg.linkLatency,
+                                  up, down,
+                                  csprintf(l.childIsSwitch ? "switch%u"
+                                                           : "node%u",
+                                           l.child));
+            remoteRxIds.push_back(up);
+        } else if (child) {
+            fabric_.connectRemote(child, l.childPort, cfg.linkLatency,
+                                  down, up,
+                                  csprintf("switch%u", l.parentSwitch));
+            remoteRxIds.push_back(down);
+        }
+    }
+    channelGlobalLink.insert(channelGlobalLink.end(), remoteRxIds.begin(),
+                             remoteRxIds.end());
 
     fabric_.finalize();
     FS_ASSERT(channelGlobalLink.size() == fabric_.channelCount(),
@@ -150,6 +219,9 @@ Cluster::Cluster(SwitchSpec root, ClusterConfig config,
               channelGlobalLink.size(), fabric_.channelCount());
     fabric_.setParallelHosts(cfg.parallelHosts);
     fabric_.setSchedPolicy(cfg.schedPolicy);
+
+    if (ss.shards > 1)
+        connectShards(std::move(links));
 
     if (cfg.telemetry.enabled)
         setupTelemetry();
@@ -160,213 +232,9 @@ Cluster::Cluster(SwitchSpec root, ClusterConfig config,
 }
 
 void
-Cluster::buildSharded(
-    std::vector<std::pair<uint32_t, SocketFd>> peer_fds,
-    std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>> peer_links)
+Cluster::connectShards(PeerLinks links)
 {
     const ShardSpec &ss = cfg.shard;
-    if (ss.rank >= ss.shards)
-        fatal("shard rank %u >= shard count %u", ss.rank, ss.shards);
-
-    // Resolve the server->rank map: an explicit owner map wins, then
-    // the configured policy. Everything here is a pure function of the
-    // shared config, so every rank independently computes the same
-    // plan; planHash double-checks that at rendezvous.
-    if (!ss.owners.empty()) {
-        plan_ = ShardPlan::build(topo, ss.shards, cfg.linkLatency,
-                                 cfg.switchLatency, cfg.functionalWindow,
-                                 ss.owners);
-    } else if (ss.policy == ShardPolicy::Cost) {
-        ShardPlan base =
-            ShardPlan::build(topo, ss.shards, cfg.linkLatency,
-                             cfg.switchLatency, cfg.functionalWindow);
-        DeploymentProfile profile;
-        std::string perr;
-        if (!ss.profileIn.empty()) {
-            profile = DeploymentProfile::loadMerged(ss.profileIn, &perr);
-            if (!perr.empty())
-                fatal("--shard-profile-in: %s", perr.c_str());
-            if (profile.empty())
-                warn("shard %u: deployment profile %s is empty or "
-                     "missing; cost policy degrades to uniform weights",
-                     ss.rank, ss.profileIn.c_str());
-        } else {
-            warn("shard %u: --shard-policy=cost without "
-                 "--shard-profile-in; using uniform weights",
-                 ss.rank);
-        }
-        plan_ = ShardPlan::build(topo, ss.shards, cfg.linkLatency,
-                                 cfg.switchLatency, cfg.functionalWindow,
-                                 computeCostOwners(base, profile));
-    } else {
-        plan_ = ShardPlan::build(topo, ss.shards, cfg.linkLatency,
-                                 cfg.switchLatency, cfg.functionalWindow);
-    }
-    const ShardPlan &plan = plan_;
-    SpecIndex specs;
-    specs.walk(topo);
-
-    // Instantiate only what this rank owns, under *global* names, MACs
-    // and IPs, so every component is indistinguishable from its
-    // single-process twin (the basis of the byte-identity tests).
-    std::vector<int> switchLocal(plan.nSwitches, -1);
-    std::vector<int> nodeLocal(plan.nServers, -1);
-    for (uint32_t s = 0; s < plan.nSwitches; ++s) {
-        if (plan.switchOwner[s] != ss.rank)
-            continue;
-        SwitchConfig scfg;
-        scfg.name = csprintf("switch%u", s);
-        scfg.ports = plan.switchPorts[s];
-        scfg.minLatency = cfg.switchLatency;
-        scfg.dropBound = cfg.switchDropBound;
-        scfg.slicePorts = cfg.switchSlicePorts;
-        switchLocal[s] = static_cast<int>(switches.size());
-        switchGlobal.push_back(s);
-        switches.push_back(std::make_unique<Switch>(scfg));
-        auto &pp = switchPortServers.emplace_back();
-        pp.resize(plan.portServers[s].size());
-        for (size_t p = 0; p < pp.size(); ++p)
-            pp[p].assign(plan.portServers[s][p].begin(),
-                         plan.portServers[s][p].end());
-        fabric_.addEndpoint(switches.back().get());
-    }
-    for (uint32_t j = 0; j < plan.nServers; ++j) {
-        if (plan.serverOwner[j] != ss.rank)
-            continue;
-        const ServerSpec &server = *specs.servers[j];
-        BladeConfig bc;
-        bc.name = csprintf("node%u", j);
-        bc.freqGhz = cfg.freqGhz;
-        bc.cores = server.cores;
-        bc.memBytes = server.memBytes;
-        bc.nic = cfg.nic;
-        bc.mac = macFor(j);
-        bc.harts = std::min(cfg.harts, server.cores);
-        bc.hart = cfg.hart;
-        OsConfig oc = cfg.os;
-        oc.cores = server.cores;
-        oc.seed = cfg.seed + j;
-        nodeLocal[j] = static_cast<int>(nodes.size());
-        nodeGlobal.push_back(j);
-        nodes.push_back(
-            std::make_unique<NodeSystem>(bc, oc, cfg.net, ipFor(j)));
-        fabric_.addEndpoint(&nodes.back()->blade());
-    }
-    if (switches.empty() && nodes.empty())
-        fatal("shard %u owns no components", ss.rank);
-
-    // MAC tables know the *whole* cluster: the plan's port->servers map
-    // is global, so a sharded switch forwards exactly like its
-    // single-process twin.
-    for (uint32_t s = 0; s < plan.nSwitches; ++s) {
-        if (switchLocal[s] < 0)
-            continue;
-        Switch &sw = *switches[switchLocal[s]];
-        uint32_t downlinks =
-            static_cast<uint32_t>(plan.portServers[s].size());
-        bool has_uplink = (s != 0);
-        std::vector<int> port_of(plan.nServers, -1);
-        for (uint32_t p = 0; p < downlinks; ++p)
-            for (uint32_t server : plan.portServers[s][p])
-                port_of[server] = static_cast<int>(p);
-        for (uint32_t j = 0; j < plan.nServers; ++j) {
-            if (port_of[j] >= 0)
-                sw.addMacEntry(macFor(j),
-                               static_cast<uint32_t>(port_of[j]));
-            else if (has_uplink)
-                sw.addMacEntry(macFor(j), downlinks);
-            else
-                panic("server %u unreachable from the root switch", j);
-        }
-    }
-
-    // ARP across the whole cluster: remote nodes are as addressable as
-    // local ones.
-    for (uint32_t i = 0; i < plan.nServers; ++i) {
-        if (nodeLocal[i] < 0)
-            continue;
-        for (uint32_t j = 0; j < plan.nServers; ++j)
-            if (i != j)
-                nodes[nodeLocal[i]]->net().addArp(ipFor(j), macFor(j));
-    }
-
-    // Wire the links: both ends local -> an ordinary channel pair; one
-    // end local -> a remote half-link, with the global link ids both
-    // shards derive from the same plan.
-    struct CrossBinding
-    {
-        uint32_t linkId;
-        uint32_t peer;
-        bool rx;
-    };
-    std::vector<CrossBinding> cross;
-    // Channel -> global-link-id map, mirroring finalize()'s channel
-    // creation order: the local channel pairs (connect-call order,
-    // down then up) come first, then every remote RX channel
-    // (connectRemote-call order).
-    std::vector<uint32_t> remoteRxIds;
-    for (size_t k = 0; k < plan.links.size(); ++k) {
-        const ShardPlan::Link &l = plan.links[k];
-        uint32_t parent_owner = plan.switchOwner[l.parentSwitch];
-        uint32_t child_owner = plan.ownerOfLink(l, true);
-        bool own_parent = parent_owner == ss.rank;
-        bool own_child = child_owner == ss.rank;
-        if (!own_parent && !own_child)
-            continue;
-        TokenEndpoint *parent_ep =
-            own_parent ? switches[switchLocal[l.parentSwitch]].get()
-                       : nullptr;
-        TokenEndpoint *child_ep = nullptr;
-        if (own_child) {
-            child_ep = l.childIsSwitch
-                           ? static_cast<TokenEndpoint *>(
-                                 switches[switchLocal[l.child]].get())
-                           : &nodes[nodeLocal[l.child]]->blade();
-        }
-        if (own_parent && own_child) {
-            fabric_.connect(parent_ep, l.parentPort, child_ep,
-                            l.childPort, cfg.linkLatency);
-            channelGlobalLink.push_back(ShardPlan::downLinkId(k));
-            channelGlobalLink.push_back(ShardPlan::upLinkId(k));
-            continue;
-        }
-        if (own_parent) {
-            std::string child_label =
-                l.childIsSwitch ? csprintf("switch%u", l.child)
-                                : csprintf("node%u", l.child);
-            fabric_.connectRemote(parent_ep, l.parentPort,
-                                  cfg.linkLatency, ShardPlan::upLinkId(k),
-                                  ShardPlan::downLinkId(k), child_label);
-            remoteRxIds.push_back(ShardPlan::upLinkId(k));
-            cross.push_back({ShardPlan::upLinkId(k), child_owner, true});
-            cross.push_back(
-                {ShardPlan::downLinkId(k), child_owner, false});
-        } else {
-            fabric_.connectRemote(child_ep, l.childPort, cfg.linkLatency,
-                                  ShardPlan::downLinkId(k),
-                                  ShardPlan::upLinkId(k),
-                                  csprintf("switch%u", l.parentSwitch));
-            remoteRxIds.push_back(ShardPlan::downLinkId(k));
-            cross.push_back(
-                {ShardPlan::downLinkId(k), parent_owner, true});
-            cross.push_back({ShardPlan::upLinkId(k), parent_owner, false});
-        }
-    }
-    channelGlobalLink.insert(channelGlobalLink.end(), remoteRxIds.begin(),
-                             remoteRxIds.end());
-    if (cross.empty())
-        warn("shard %u has no cross-shard links; peers barrier every "
-             "round but exchange no tokens",
-             ss.rank);
-
-    fabric_.finalize();
-    FS_ASSERT(channelGlobalLink.size() == fabric_.channelCount(),
-              "channel/global-link map mismatch: %zu links mapped, %zu "
-              "channels built",
-              channelGlobalLink.size(), fabric_.channelCount());
-    fabric_.setParallelHosts(cfg.parallelHosts);
-    fabric_.setSchedPolicy(cfg.schedPolicy);
-
     ShardTransport::Options topts;
     topts.rank = ss.rank;
     topts.shards = ss.shards;
@@ -381,28 +249,40 @@ Cluster::buildSharded(
         cfg.telemetry.enabled ? cfg.telemetry.aggregateEvery : 0;
     topts.transport = ss.transport;
     topts.shmRingBytes = ss.shmRingBytes;
-    if (!peer_links.empty()) {
-        transport_ = ShardTransport::fromLinks(
-            topts, std::move(peer_links), plan.planHash);
-    } else if (!peer_fds.empty()) {
-        transport_ = ShardTransport::fromFds(topts, std::move(peer_fds),
-                                             plan.planHash);
-    } else {
-        transport_ = ShardTransport::rendezvousTcp(topts, plan.planHash);
-    }
+    transport_ = links.empty()
+                     ? ShardTransport::rendezvousTcp(topts, plan_.planHash)
+                     : ShardTransport::fromLinks(topts, std::move(links),
+                                                 plan_.planHash);
     for (size_t i = 0; i < transport_->peerRanks().size(); ++i) {
         inform("shard %u: peer rank %u via %s", ss.rank,
                transport_->peerRanks()[i],
                transport_->peerLinkAt(i)->describe().c_str());
     }
-    for (const CrossBinding &b : cross) {
-        if (b.rx) {
-            transport_->bindRxChannel(b.linkId, b.peer,
-                                      fabric_.remoteRxChannel(b.linkId));
-        } else {
-            transport_->bindTxLink(b.linkId, b.peer);
-        }
+
+    // Bind every cross-shard link: the direction arriving here feeds
+    // its remote RX channel, the one leaving is shipped to the peer.
+    bool any_cross = false;
+    for (size_t k = 0; k < plan_.links.size(); ++k) {
+        const ShardPlan::Link &l = plan_.links[k];
+        uint32_t parent_owner = plan_.ownerOfLink(l, false);
+        uint32_t child_owner = plan_.ownerOfLink(l, true);
+        if (parent_owner == child_owner ||
+            (parent_owner != ss.rank && child_owner != ss.rank))
+            continue;
+        bool own_parent = parent_owner == ss.rank;
+        uint32_t peer = own_parent ? child_owner : parent_owner;
+        uint32_t rx = own_parent ? ShardPlan::upLinkId(k)
+                                 : ShardPlan::downLinkId(k);
+        uint32_t tx = own_parent ? ShardPlan::downLinkId(k)
+                                 : ShardPlan::upLinkId(k);
+        transport_->bindRxChannel(rx, peer, fabric_.remoteRxChannel(rx));
+        transport_->bindTxLink(tx, peer);
+        any_cross = true;
     }
+    if (!any_cross)
+        warn("shard %u has no cross-shard links; peers barrier every "
+             "round but exchange no tokens",
+             ss.rank);
     fabric_.setRemoteHook(transport_.get());
 
     // Eagerly attach the health monitor: observers cannot attach
@@ -429,13 +309,6 @@ Cluster::buildSharded(
                 recorder_->dump(csprintf("peer shard %u lost", peer));
             }
         });
-
-    if (cfg.telemetry.enabled)
-        setupTelemetry();
-    setupObservability();
-
-    for (auto &node : nodes)
-        node->start();
 }
 
 Cluster::~Cluster()
@@ -926,66 +799,6 @@ Cluster::writeDeploymentProfile()
     std::string err = prof.saveFile(path);
     if (!err.empty())
         warn("deployment profile: %s", err.c_str());
-}
-
-size_t
-Cluster::buildSubtree(const SwitchSpec &spec, uint32_t depth)
-{
-    size_t my_idx = switches.size();
-
-    SwitchConfig scfg;
-    scfg.name = csprintf("switch%zu", my_idx);
-    scfg.ports = spec.downlinkCount() + (depth > 0 ? 1 : 0);
-    scfg.minLatency = cfg.switchLatency;
-    scfg.dropBound = cfg.switchDropBound;
-    scfg.slicePorts = cfg.switchSlicePorts;
-    switches.push_back(std::make_unique<Switch>(scfg));
-    switchSpecs.push_back(&spec);
-    switchPortServers.emplace_back(spec.downlinkCount());
-    fabric_.addEndpoint(switches[my_idx].get());
-
-    uint32_t port = 0;
-    for (const auto &child : spec.childSwitches()) {
-        size_t child_idx = buildSubtree(*child, depth + 1);
-        uint32_t child_uplink = child->downlinkCount();
-        fabric_.connect(switches[my_idx].get(), port,
-                        switches[child_idx].get(), child_uplink,
-                        cfg.linkLatency);
-        // Everything under the child subtree is reachable via this port.
-        std::vector<size_t> under;
-        for (const auto &per_port : switchPortServers[child_idx])
-            under.insert(under.end(), per_port.begin(), per_port.end());
-        switchPortServers[my_idx][port] = std::move(under);
-        ++port;
-    }
-
-    for (const ServerSpec &server : spec.childServers()) {
-        size_t node_idx = nodes.size();
-
-        BladeConfig bc;
-        bc.name = csprintf("node%zu", node_idx);
-        bc.freqGhz = cfg.freqGhz;
-        bc.cores = server.cores;
-        bc.memBytes = server.memBytes;
-        bc.nic = cfg.nic;
-        bc.mac = macFor(node_idx);
-        bc.harts = std::min(cfg.harts, server.cores);
-        bc.hart = cfg.hart;
-
-        OsConfig oc = cfg.os;
-        oc.cores = server.cores;
-        oc.seed = cfg.seed + node_idx;
-
-        nodes.push_back(std::make_unique<NodeSystem>(bc, oc, cfg.net,
-                                                     ipFor(node_idx)));
-        fabric_.addEndpoint(&nodes[node_idx]->blade());
-        fabric_.connect(switches[my_idx].get(), port,
-                        &nodes[node_idx]->blade(), 0, cfg.linkLatency);
-        switchPortServers[my_idx][port] = {node_idx};
-        ++port;
-    }
-
-    return my_idx;
 }
 
 } // namespace firesim

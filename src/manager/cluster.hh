@@ -3,14 +3,20 @@
  * The simulation manager's build-and-deploy step (Section III-B3).
  *
  * Given a SwitchSpec topology tree and a ClusterConfig, the Cluster:
- *  - instantiates one Switch model per SwitchSpec and one NodeSystem
- *    (server blade + simulated OS + network stack) per ServerSpec,
+ *  - resolves the ShardPlan (manager/shard.hh), whose topology walk is
+ *    the one place that numbers switches, servers and links,
+ *  - instantiates, in that walk order, one Switch model per SwitchSpec
+ *    and one NodeSystem (server blade + simulated OS + network stack)
+ *    per ServerSpec — every one of them in a single-process run, only
+ *    this rank's share in a sharded one,
  *  - automatically assigns MAC and IP addresses to every server,
  *  - populates the static MAC switching table of every switch (each
  *    switch knows, for every server MAC, which port leads toward it),
  *  - pre-populates every node's ARP table,
  *  - wires everything into a TokenFabric with the configured link
- *    latency, and boots the network stacks.
+ *    latency (links with one end on another rank become remote
+ *    half-links over the shard transport), and boots the network
+ *    stacks.
  *
  * Port convention on an N-downlink switch: ports 0..N-1 are downlinks
  * in child order (switches first, then servers); the uplink, when the
@@ -167,30 +173,19 @@ class Cluster
 {
   public:
     /**
-     * Build and deploy the simulation for @p root. The Cluster takes
-     * ownership of the topology tree. With config.shard.shards > 1 the
-     * shard peers are reached by TCP rendezvous (ShardSpec::basePort).
+     * Build and deploy the simulation for @p root; the Cluster takes
+     * ownership of the topology tree. Every build follows the same
+     * ShardPlan: with config.shard.shards == 1 this process owns every
+     * component and every link is local (no transport, and @p links
+     * must be empty); with N > 1 it builds only this rank's share and
+     * reaches its peers through @p links — one (peer_rank, PeerLink)
+     * pair per other rank, e.g. socketpairLinks() halves or
+     * loopbackLinkPair() ends — or, when @p links is empty, by TCP
+     * rendezvous (ShardSpec::basePort). Misuse (links for one shard, a
+     * link count other than shards - 1, a duplicate or out-of-range
+     * peer rank) is fatal.
      */
-    Cluster(SwitchSpec root, ClusterConfig config);
-
-    /**
-     * Sharded build over pre-connected sockets: @p peer_fds carries
-     * one (peer_rank, fd) pair per peer shard, typically AF_UNIX
-     * socketpair halves for same-host shards (and the tests). Requires
-     * config.shard.shards > 1.
-     */
-    Cluster(SwitchSpec root, ClusterConfig config,
-            std::vector<std::pair<uint32_t, SocketFd>> peer_fds);
-
-    /**
-     * Sharded build over caller-supplied transport bridges: one
-     * (peer_rank, PeerLink) pair per peer shard — any fabric,
-     * including loopbackLinkPair() for in-process tests. Requires
-     * config.shard.shards > 1.
-     */
-    Cluster(SwitchSpec root, ClusterConfig config,
-            std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>>
-                peer_links);
+    Cluster(SwitchSpec root, ClusterConfig config, PeerLinks links = {});
 
     /** Dumps telemetry into TelemetryConfig::dumpDir when configured. */
     ~Cluster();
@@ -328,10 +323,6 @@ class Cluster
     std::string loadSnapshot(const std::string &path);
 
   private:
-    /** Recursively instantiate switches/nodes below @p spec; returns
-     *  the index of the switch built for @p spec. */
-    size_t buildSubtree(const SwitchSpec &spec, uint32_t depth);
-
     /** loadSnapshot, same owner map: full verification including the
      *  stats byte-identity check. @p r is the already-opened file. */
     std::string loadSnapshotSamePlan(SnapshotReader &r,
@@ -348,15 +339,12 @@ class Cluster
     std::string loadSnapshotReShard(const std::string &path);
 
     /**
-     * Sharded build (config().shard.shards > 1): instantiate only the
-     * components this rank owns — with *global* names, MACs, and IPs —
-     * wire cross-shard links through the transport, and eagerly attach
+     * Sharded build (config().shard.shards > 1), after the fabric is
+     * finalized: open the transport over @p links (TCP rendezvous
+     * when empty), bind every cross-shard link, and eagerly attach
      * the health monitor so peer loss mid-run can be recorded.
      */
-    void
-    buildSharded(std::vector<std::pair<uint32_t, SocketFd>> peer_fds,
-                 std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>>
-                     peer_links);
+    void connectShards(PeerLinks links);
 
     /** Build the telemetry bundle, register every component's stats,
      *  and attach the configured fabric observers. */
@@ -364,7 +352,7 @@ class Cluster
 
     /** Build the observability plane — flight recorder, heartbeat
      *  monitor, cross-shard aggregation hooks — per ClusterConfig.
-     *  Called by both build paths, after setupTelemetry(). */
+     *  Called by the constructor, after setupTelemetry(). */
     void setupObservability();
 
     /** Mirror HealthMonitor events into the flight recorder (called
@@ -383,8 +371,8 @@ class Cluster
 
     SwitchSpec topo;
     ClusterConfig cfg;
-    /** The shard plan both build paths derive their wiring from;
-     *  trivial (1 shard, every owner 0) in single-process mode. */
+    /** The shard plan the build derives its wiring from; trivial
+     *  (1 shard, every owner 0) in single-process mode. */
     ShardPlan plan_;
     // Local -> global component numbering (identity in single-process
     // mode): switchGlobal[i] is the global index of switches[i],
@@ -401,10 +389,6 @@ class Cluster
     std::unique_ptr<ShardTransport> transport_;
     std::vector<std::unique_ptr<NodeSystem>> nodes;
     std::vector<std::unique_ptr<Switch>> switches;
-    // Parallel bookkeeping per built switch: its spec, and the server
-    // indices reachable through each downlink port.
-    std::vector<const SwitchSpec *> switchSpecs;
-    std::vector<std::vector<std::vector<size_t>>> switchPortServers;
     // Observability plane. Order matters for destruction: the monitor
     // holds a flight-recorder pointer, so the recorder is declared
     // (and destroyed) after it... i.e. recorder first here.

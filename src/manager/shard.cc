@@ -28,13 +28,15 @@ struct Walker
 {
     ShardPlan &plan;
 
-    /** Mirrors Cluster::buildSubtree exactly: assign this switch's
-     *  global index, recurse into child switches (ports 0..), then
-     *  attach this switch's servers. Returns the global index. */
+    /** The one topology walk: assign this switch's global index,
+     *  recurse into child switches (ports 0..), then attach this
+     *  switch's servers — recording links and endpoints in the order
+     *  the Cluster builder creates them. Returns the global index. */
     uint32_t
     walk(const SwitchSpec &spec, uint32_t depth)
     {
         uint32_t my_idx = plan.nSwitches++;
+        plan.walkOrder.push_back({true, my_idx});
         plan.portServers.emplace_back(spec.downlinkCount());
         plan.switchPorts.push_back(spec.downlinkCount() +
                                    (depth > 0 ? 1 : 0));
@@ -57,6 +59,8 @@ struct Walker
         for (const ServerSpec &server : spec.childServers()) {
             uint32_t node_idx = plan.nServers++;
             mix(plan.topoHash, server.cores);
+            plan.walkOrder.push_back({false, node_idx});
+            plan.servers.push_back(server);
             plan.links.push_back(
                 ShardPlan::Link{my_idx, port, false, node_idx, 0});
             plan.portServers[my_idx][port] = {node_idx};

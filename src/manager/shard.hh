@@ -10,11 +10,13 @@
  * topoHash is exchanged in the transport's Hello handshake to catch
  * processes launched with diverging configs.
  *
- * Global numbering matches the single-process Cluster builder exactly
- * (preorder switch indices, DFS server indices), so a sharded run's
- * component names, MACs, IPs, and per-component statistics line up
- * one-to-one with the single-process run — the basis of the
- * byte-identity tests in tests/dist.
+ * The plan's topology walk is the only code that numbers the target:
+ * preorder switch indices, DFS server indices, the link order, and the
+ * endpoint registration order. The Cluster builds every run — one
+ * process or N shards — from the plan, keeping the components its rank
+ * owns, so a sharded run's component names, MACs, IPs, and
+ * per-component statistics line up one-to-one with the single-process
+ * run — the basis of the byte-identity tests in tests/dist.
  *
  * Partitioning policy: by default servers are split into contiguous
  * blocks (server j goes to rank j*shards/nServers) and each switch
@@ -106,12 +108,25 @@ struct ShardPlan
         uint32_t childPort = 0; //!< uplink port (switch) or 0 (server)
     };
 
+    /** One endpoint of the walk: a switch or a server. */
+    struct Component
+    {
+        bool isSwitch = false;
+        uint32_t index = 0; //!< global switch or server index
+    };
+
     uint32_t shards = 1;
     uint32_t nSwitches = 0;
     uint32_t nServers = 0;
     std::vector<uint32_t> switchOwner; //!< per global switch index
     std::vector<uint32_t> serverOwner; //!< per global server index
     std::vector<Link> links;           //!< builder creation order
+    /** Endpoint registration order: a switch, then its child subtrees,
+     *  then its servers. Each rank registers the components it owns in
+     *  this order, which fixes its endpoint indices and step order. */
+    std::vector<Component> walkOrder;
+    /** Per global server index: the blade flavour to instantiate. */
+    std::vector<ServerSpec> servers;
     /** Per switch: downlink port -> global server indices reachable
      *  through it (the MAC-table input, now shard-independent). */
     std::vector<std::vector<std::vector<uint32_t>>> portServers;

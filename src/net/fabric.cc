@@ -167,6 +167,8 @@ TokenFabric::addEndpoint(TokenEndpoint *endpoint)
     state.endpoint = endpoint;
     state.in.assign(endpoint->numPorts(), nullptr);
     state.out.assign(endpoint->numPorts(), nullptr);
+    state.inChan.assign(endpoint->numPorts(), 0);
+    state.outChan.assign(endpoint->numPorts(), 0);
     state.remoteOut.assign(endpoint->numPorts(), -1);
     endpoints.push_back(std::move(state));
 }
@@ -350,14 +352,20 @@ TokenFabric::finalize()
         ba->setLabel(csprintf("%s:%u->%s:%u", link.b->name().c_str(),
                               link.portB, link.a->name().c_str(),
                               link.portA));
+        auto ab_idx = static_cast<uint32_t>(channels.size());
         sa.out[link.portA] = ab.get();
+        sa.outChan[link.portA] = ab_idx;
         sb.in[link.portB] = ab.get();
+        sb.inChan[link.portB] = ab_idx;
         sb.out[link.portB] = ba.get();
+        sb.outChan[link.portB] = ab_idx + 1;
         sa.in[link.portA] = ba.get();
+        sa.inChan[link.portA] = ab_idx + 1;
         channels.push_back(std::move(ab));
         channels.push_back(std::move(ba));
     }
 
+    firstRemoteRx = channels.size();
     for (const auto &rl : pendingRemote) {
         EndpointState &state = stateFor(rl.local);
         // RX half only: seeded like any channel, so the first
@@ -369,6 +377,7 @@ TokenFabric::finalize()
                               rl.local->name().c_str(), rl.port,
                               rl.rxLinkId));
         state.in[rl.port] = rx.get();
+        state.inChan[rl.port] = static_cast<uint32_t>(channels.size());
         state.remoteOut[rl.port] = static_cast<int64_t>(rl.txLinkId);
         remoteRx.emplace_back(rl.rxLinkId, rx.get());
         channels.push_back(std::move(rx));
@@ -448,23 +457,11 @@ TokenFabric::endpointIndexOf(const std::string &name) const
     return -1;
 }
 
-size_t
-TokenFabric::channelIndexOf(const TokenChannel *channel) const
-{
-    for (size_t i = 0; i < channels.size(); ++i)
-        if (channels[i].get() == channel)
-            return i;
-    panic("channel %s not owned by this fabric", channel->label().c_str());
-}
-
 bool
 TokenFabric::channelIsRemoteRx(size_t idx) const
 {
-    const TokenChannel *chan = channels.at(idx).get();
-    for (const auto &rx : remoteRx)
-        if (rx.second == chan)
-            return true;
-    return false;
+    // finalize() builds every remote RX channel after the local pairs.
+    return idx >= firstRemoteRx && idx < channels.size();
 }
 
 int
@@ -475,7 +472,7 @@ TokenFabric::txChannelOf(size_t endpoint_idx, uint32_t port) const
     const EndpointState &state = endpoints[endpoint_idx];
     if (port >= state.out.size() || !state.out[port])
         return -1;
-    return static_cast<int>(channelIndexOf(state.out[port]));
+    return static_cast<int>(state.outChan[port]);
 }
 
 double
@@ -496,10 +493,8 @@ TokenFabric::endpointCostNs(size_t idx) const
 bool
 TokenFabric::reportAnomaly(FabricObserver::Anomaly kind,
                            size_t endpoint_idx, uint32_t port,
-                           const TokenChannel *channel,
-                           const TokenBatch &batch)
+                           size_t chan_idx, const TokenBatch &batch)
 {
-    size_t chan_idx = channelIndexOf(channel);
     bool recovered = false;
     for (FabricObserver *obs : observers)
         recovered |= obs->onAnomaly(kind, endpoint_idx, port, chan_idx,
@@ -525,19 +520,14 @@ TokenFabric::prepareEndpoint(size_t idx)
     state.popped.clear();
 
     for (uint32_t p = 0; p < ports; ++p) {
+        // An anomaly an observer recovers is repaired; one nobody
+        // recovers (always, when no observer is attached) aborts.
         TokenChannel *chan = state.in[p];
-        if (observers.empty()) {
-            FS_ASSERT(chan->ready(), "channel underflow into %s:%u",
-                      state.endpoint->name().c_str(), p);
-            state.popped.push_back(chan->pop());
-            continue;
-        }
-        // Monitored path: report-and-repair instead of abort.
         if (!chan->ready()) {
             TokenBatch missing(chan->nextPopCycle(),
                                static_cast<uint32_t>(quant));
             if (!reportAnomaly(FabricObserver::Anomaly::ChannelUnderflow,
-                               idx, p, chan, missing)) {
+                               idx, p, state.inChan[p], missing)) {
                 panic("channel underflow into %s:%u (%s)",
                       state.endpoint->name().c_str(), p,
                       chan->label().c_str());
@@ -549,7 +539,7 @@ TokenFabric::prepareEndpoint(size_t idx)
         TokenBatch batch = chan->popUnchecked();
         if (batch.start != curCycle) {
             if (!reportAnomaly(FabricObserver::Anomaly::StaleBatch, idx, p,
-                               chan, batch)) {
+                               state.inChan[p], batch)) {
                 panic("non-contiguous batch pop on %s: got %llu "
                       "expected %llu",
                       chan->label().c_str(),
@@ -705,25 +695,23 @@ TokenFabric::commitEndpoint(size_t idx)
             ++batchCount;
             continue;
         }
-        if (!observers.empty()) {
-            size_t chan_idx = channelIndexOf(chan);
-            for (FabricObserver *obs : observers)
-                obs->onTransmit(chan_idx, state.outs[p]);
-            TokenChannel::PushError err = chan->accepts(state.outs[p]);
-            if (err != TokenChannel::PushError::Ok) {
-                auto kind = err == TokenChannel::PushError::BadLength
-                                ? FabricObserver::Anomaly::BadLength
-                                : FabricObserver::Anomaly::NonContiguous;
-                if (reportAnomaly(kind, idx, p, chan, state.outs[p])) {
-                    // Substitute a well-formed empty batch to keep the
-                    // channel's token stream intact.
-                    pool.recycle(std::move(state.outs[p].flits));
-                    state.outs[p] =
-                        TokenBatch(curCycle, static_cast<uint32_t>(quant));
-                }
-                // else: fall through to push(), which aborts with the
-                // channel label.
+        for (FabricObserver *obs : observers)
+            obs->onTransmit(state.outChan[p], state.outs[p]);
+        TokenChannel::PushError err = chan->accepts(state.outs[p]);
+        if (err != TokenChannel::PushError::Ok) {
+            auto kind = err == TokenChannel::PushError::BadLength
+                            ? FabricObserver::Anomaly::BadLength
+                            : FabricObserver::Anomaly::NonContiguous;
+            if (reportAnomaly(kind, idx, p, state.outChan[p],
+                              state.outs[p])) {
+                // Substitute a well-formed empty batch to keep the
+                // channel's token stream intact.
+                pool.recycle(std::move(state.outs[p].flits));
+                state.outs[p] =
+                    TokenBatch(curCycle, static_cast<uint32_t>(quant));
             }
+            // else: fall through to push(), which aborts with the
+            // channel label.
         }
         chan->push(std::move(state.outs[p]));
         ++batchCount;

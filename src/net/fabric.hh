@@ -674,6 +674,10 @@ class TokenFabric
         // Per-port channels; in[i] feeds port i, out[i] drains it.
         std::vector<TokenChannel *> in;
         std::vector<TokenChannel *> out;
+        // Index into `channels` of in[i] / out[i], set at finalize()
+        // so observer callbacks never search for a channel.
+        std::vector<uint32_t> inChan;
+        std::vector<uint32_t> outChan;
 
         // Round-persistent buffers. `popped` holds this round's input
         // batches, `inPtrs` aliases them for the advance() signature,
@@ -734,15 +738,13 @@ class TokenFabric
 
     EndpointState &stateFor(TokenEndpoint *endpoint);
 
-    /** Index into `channels` of @p channel (for observer callbacks). */
-    size_t channelIndexOf(const TokenChannel *channel) const;
-
     /**
-     * Report @p kind to the observers; returns true when some observer
-     * recovered it. Aborts with the channel's label otherwise.
+     * Report @p kind on channel @p chan_idx to the observers; returns
+     * true when some observer recovered it (never, with none
+     * attached). The caller aborts with the channel's label otherwise.
      */
     bool reportAnomaly(FabricObserver::Anomaly kind, size_t endpoint_idx,
-                       uint32_t port, const TokenChannel *channel,
+                       uint32_t port, size_t chan_idx,
                        const TokenBatch &batch);
 
     // ---- The three round phases (see the file comment) ---------------
@@ -773,6 +775,7 @@ class TokenFabric
     RemoteRoundHook *remoteHook = nullptr;
     std::vector<EndpointState> endpoints;
     std::vector<std::unique_ptr<TokenChannel>> channels;
+    size_t firstRemoteRx = 0; //!< remote RX channels follow local pairs
     std::vector<FabricObserver *> observers;
     std::vector<size_t> stepOrder;
     FlitPool pool;

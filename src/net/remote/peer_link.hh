@@ -30,6 +30,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace firesim
 {
@@ -131,6 +132,10 @@ class PeerLink
     /** Shared-memory host counters, or nullptr for other fabrics. */
     virtual const ShmLinkStats *shmStats() const { return nullptr; }
 };
+
+/** One bridge per peer shard, as (peer_rank, link) pairs — what a
+ *  sharded Cluster or ShardTransport::fromLinks is handed. */
+using PeerLinks = std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>>;
 
 /**
  * In-process bridge for tests: two SPSC byte queues guarded by a

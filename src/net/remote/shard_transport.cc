@@ -86,7 +86,7 @@ recvFrameRaw(const SocketFd &sock, std::string &rx_buf,
  * either side demands shm (fatal across hosts or against an explicit
  * socket choice), `auto`+`auto` on one host picks shm, anything else
  * is TCP. `unix` degrades to TCP here — the socketpair fast path is
- * fromFds, not the rendezvous.
+ * socketpairLinks(), not the rendezvous.
  */
 TransportKind
 negotiateTransport(const ShardTransport::Options &opts,
@@ -244,37 +244,8 @@ ShardTransport::rendezvousTcp(const Options &opts, uint64_t plan_hash)
 }
 
 std::unique_ptr<ShardTransport>
-ShardTransport::fromFds(const Options &opts,
-                        std::vector<std::pair<uint32_t, SocketFd>> fds,
-                        uint64_t plan_hash)
-{
-    // Auto keeps the fds as the byte stream itself (the caller chose
-    // the socketpair fast path; honor it); only an explicit `shm`
-    // upgrades each fd into the control socket of a ring pair.
-    std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>> links;
-    links.reserve(fds.size());
-    for (auto &[peer_rank, sock] : fds) {
-        std::unique_ptr<PeerLink> link;
-        if (opts.transport == TransportKind::Shm) {
-            link = makeShmLink(
-                std::move(sock), opts.rank < peer_rank,
-                opts.shmRingBytes,
-                csprintf("r%ur%u", std::min(opts.rank, peer_rank),
-                         std::max(opts.rank, peer_rank)));
-        } else {
-            link = makeSocketLink(std::move(sock), TransportKind::Unix,
-                                  "unix socketpair");
-        }
-        links.emplace_back(peer_rank, std::move(link));
-    }
-    return fromLinks(opts, std::move(links), plan_hash);
-}
-
-std::unique_ptr<ShardTransport>
-ShardTransport::fromLinks(
-    const Options &opts,
-    std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>> links,
-    uint64_t plan_hash)
+ShardTransport::fromLinks(const Options &opts, PeerLinks links,
+                          uint64_t plan_hash)
 {
     std::unique_ptr<ShardTransport> t(
         new ShardTransport(opts, plan_hash));
@@ -860,6 +831,29 @@ ShardTransport::shutdown()
         }
         peer.link->close();
     }
+}
+
+PeerLinks
+socketpairLinks(uint32_t rank,
+                std::vector<std::pair<uint32_t, SocketFd>> fds,
+                TransportKind transport, size_t shm_ring_bytes)
+{
+    PeerLinks links;
+    links.reserve(fds.size());
+    for (auto &[peer_rank, sock] : fds) {
+        std::unique_ptr<PeerLink> link;
+        if (transport == TransportKind::Shm) {
+            link = makeShmLink(std::move(sock), rank < peer_rank,
+                               shm_ring_bytes,
+                               csprintf("r%ur%u", std::min(rank, peer_rank),
+                                        std::max(rank, peer_rank)));
+        } else {
+            link = makeSocketLink(std::move(sock), TransportKind::Unix,
+                                  "unix socketpair");
+        }
+        links.emplace_back(peer_rank, std::move(link));
+    }
+    return links;
 }
 
 } // namespace firesim

@@ -141,30 +141,15 @@ class ShardTransport : public RemoteRoundHook
     rendezvousTcp(const Options &opts, uint64_t plan_hash);
 
     /**
-     * Pre-connected fast path: @p peers carries (peer_rank, fd) pairs,
-     * typically AF_UNIX socketpair halves for same-host shards. Under
-     * opts.transport Shm each fd becomes the control socket of a
-     * shared-memory ring pair (lower rank creates); otherwise the fd
-     * is the byte stream itself. Hello is sent immediately and the
-     * peer's Hello validated lazily on first receive, so two
-     * transports sharing a socketpair can be constructed in any order
-     * on one thread without deadlock.
+     * Pre-connected entry: @p links carries one (peer_rank, PeerLink)
+     * pair per peer — any fabric, e.g. socketpairLinks() or
+     * loopbackLinkPair(). Hello is sent immediately and the peer's
+     * Hello validated lazily on first receive, so two transports
+     * sharing a link pair can be constructed in any order on one
+     * thread without deadlock.
      */
     static std::unique_ptr<ShardTransport>
-    fromFds(const Options &opts,
-            std::vector<std::pair<uint32_t, SocketFd>> peers,
-            uint64_t plan_hash);
-
-    /**
-     * Bridge-level entry: @p links carries (peer_rank, PeerLink)
-     * pairs — any fabric, including loopbackLinkPair() for tests.
-     * Hello rides the link; validation is lazy, as in fromFds.
-     */
-    static std::unique_ptr<ShardTransport>
-    fromLinks(const Options &opts,
-              std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>>
-                  links,
-              uint64_t plan_hash);
+    fromLinks(const Options &opts, PeerLinks links, uint64_t plan_hash);
 
     ~ShardTransport() override;
 
@@ -307,7 +292,7 @@ class ShardTransport : public RemoteRoundHook
     void validateHello(Peer &peer, const Frame &frame) const;
 
     /** Send @p peer its Hello through the link (lazy validation path:
-     *  fromFds / fromLinks). */
+     *  fromLinks). */
     void sendHello(Peer &peer);
 
     /**
@@ -354,6 +339,20 @@ class ShardTransport : public RemoteRoundHook
     bool shutdownDone = false;
     bool finalStatsDone = false;
 };
+
+/**
+ * Wrap pre-connected fds — (peer_rank, fd) pairs, typically AF_UNIX
+ * socketpair halves for same-host shards and tests — as rank @p rank's
+ * PeerLinks. With @p transport Shm each fd becomes the control socket
+ * of a shared-memory ring pair of @p shm_ring_bytes per direction (the
+ * lower rank creates, the opener attaches lazily); any other choice
+ * keeps the fd itself as a `unix` byte stream. Both ends of a pair can
+ * be wrapped on one thread in any order.
+ */
+PeerLinks socketpairLinks(uint32_t rank,
+                          std::vector<std::pair<uint32_t, SocketFd>> fds,
+                          TransportKind transport = TransportKind::Auto,
+                          size_t shm_ring_bytes = size_t(1) << 20);
 
 } // namespace firesim
 

@@ -23,6 +23,7 @@
 #include "net/remote/socket.hh"
 #include "riscv/assembler.hh"
 #include "riscv/decode_cache.hh"
+#include "tests/temp_dir.hh"
 
 namespace firesim
 {
@@ -154,7 +155,7 @@ struct ShardRun
 std::string
 freshDir(const std::string &name)
 {
-    std::string dir = ::testing::TempDir() + name;
+    std::string dir = testTempDir() + name;
     mkdir(dir.c_str(), 0755);
     return dir;
 }
@@ -177,11 +178,13 @@ runTwoShards(bool decode_cache)
     std::vector<std::pair<uint32_t, SocketFd>> fds0, fds1;
     fds0.emplace_back(1, std::move(fd0));
     fds1.emplace_back(0, std::move(fd1));
+    PeerLinks links0 = socketpairLinks(0, std::move(fds0));
+    PeerLinks links1 = socketpairLinks(1, std::move(fds1));
 
     std::thread shard1([&] {
         // Rank 1 owns global node 1 as local 0.
         Cluster c1(topologies::singleTor(2), std::move(cc1),
-                   std::move(fds1));
+                   std::move(links1));
         armHart(c1.node(0), 1);
         c1.run(600000);
         out.console1 = c1.node(0).blade().hart(0).console();
@@ -190,7 +193,7 @@ runTwoShards(bool decode_cache)
     });
     {
         Cluster c0(topologies::singleTor(2), std::move(cc0),
-                   std::move(fds0));
+                   std::move(links0));
         armHart(c0.node(0), 0);
         spawnPing(c0.node(0), 1, &out.rtt);
         c0.run(600000);

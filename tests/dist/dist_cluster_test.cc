@@ -92,6 +92,8 @@ TEST(DistCluster, TwoShardsAreByteIdenticalToOneProcess)
     std::vector<std::pair<uint32_t, SocketFd>> fds0, fds1;
     fds0.emplace_back(1, std::move(fd0));
     fds1.emplace_back(0, std::move(fd1));
+    PeerLinks links0 = socketpairLinks(0, std::move(fds0));
+    PeerLinks links1 = socketpairLinks(1, std::move(fds1));
 
     Cycles rtt01 = 0, rtt03 = 0, rtt20 = 0;
     StatSnapshot snap0, snap1;
@@ -103,7 +105,7 @@ TEST(DistCluster, TwoShardsAreByteIdenticalToOneProcess)
     std::thread shard1([&] {
         // Rank 1 owns global nodes 2,3 as local 0,1.
         Cluster c1(topologies::twoLevel(2, 2), std::move(cc1),
-                   std::move(fds1));
+                   std::move(links1));
         spawnPing(c1.node(0), 0, &rtt20);
         c1.run(kRun);
         snap1 = c1.telemetry()->registry().snapshot(c1.now());
@@ -114,7 +116,7 @@ TEST(DistCluster, TwoShardsAreByteIdenticalToOneProcess)
     {
         // Rank 0 owns global nodes 0,1 as local 0,1.
         Cluster c0(topologies::twoLevel(2, 2), std::move(cc0),
-                   std::move(fds0));
+                   std::move(links0));
         spawnPing(c0.node(0), 1, &rtt01);
         spawnPing(c0.node(0), 3, &rtt03);
         c0.run(kRun);

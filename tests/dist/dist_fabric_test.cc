@@ -107,7 +107,8 @@ struct Shard
         opts.shards = 2;
         std::vector<std::pair<uint32_t, SocketFd>> fds;
         fds.emplace_back(1 - rank, std::move(fd));
-        transport = ShardTransport::fromFds(opts, std::move(fds), 77);
+        transport = ShardTransport::fromLinks(
+            opts, socketpairLinks(rank, std::move(fds)), 77);
         transport->bindTxLink(tx, 1 - rank);
         transport->bindRxChannel(rx, 1 - rank, fabric.remoteRxChannel(rx));
         fabric.setRemoteHook(transport.get());
@@ -186,8 +187,10 @@ TEST(DistFabric, BarrierKeepsShardsInLockstepAcrossRounds)
     std::vector<std::pair<uint32_t, SocketFd>> v0, v1;
     v0.emplace_back(1, std::move(fd0));
     v1.emplace_back(0, std::move(fd1));
-    auto t0 = ShardTransport::fromFds(opts0, std::move(v0), 5);
-    auto t1 = ShardTransport::fromFds(opts1, std::move(v1), 5);
+    auto t0 = ShardTransport::fromLinks(
+        opts0, socketpairLinks(0, std::move(v0)), 5);
+    auto t1 = ShardTransport::fromLinks(
+        opts1, socketpairLinks(1, std::move(v1)), 5);
 
     TokenChannel chan(kQuantum, kQuantum); // latency == quantum
     chan.setLabel("t0->t1 [remote link 0]");

@@ -37,18 +37,20 @@ TEST(DistFault, PeerDeathDegradesSurvivorThroughHealthMonitor)
     std::vector<std::pair<uint32_t, SocketFd>> fds0, fds1;
     fds0.emplace_back(1, std::move(fd0));
     fds1.emplace_back(0, std::move(fd1));
+    PeerLinks links0 = socketpairLinks(0, std::move(fds0));
+    PeerLinks links1 = socketpairLinks(1, std::move(fds1));
 
     // The peer shard simulates a short while, then exits (its
     // destructor sends an orderly Bye — a "peer process finished
     // early" failure, caught mid-run by the survivor's barrier).
     std::thread dying([&] {
         Cluster c1(topologies::singleTor(2), std::move(cc1),
-                   std::move(fds1));
+                   std::move(links1));
         c1.run(4000);
     });
 
     Cluster c0(topologies::singleTor(2), std::move(cc0),
-               std::move(fds0));
+               std::move(links0));
     c0.run(40000); // well past the peer's exit
     dying.join();
 
@@ -73,7 +75,8 @@ TEST(DistFault, SilentPeerTimesOutWithinBound)
     opts.recvTimeoutMs = 250;
     std::vector<std::pair<uint32_t, SocketFd>> fds;
     fds.emplace_back(1, std::move(fd0));
-    auto t = ShardTransport::fromFds(opts, std::move(fds), 9);
+    auto t = ShardTransport::fromLinks(
+        opts, socketpairLinks(0, std::move(fds)), 9);
 
     TokenChannel chan(400, 400);
     chan.setLabel("silent->here [remote link 3]");
@@ -116,7 +119,8 @@ TEST(DistFaultDeath, FailFastAbortsOnLostPeer)
     opts.failFast = true;
     std::vector<std::pair<uint32_t, SocketFd>> v;
     v.emplace_back(1, std::move(fds.first));
-    auto t = ShardTransport::fromFds(opts, std::move(v), 9);
+    auto t = ShardTransport::fromLinks(
+        opts, socketpairLinks(0, std::move(v)), 9);
     fds.second = SocketFd(); // close the peer's end: EOF at the barrier
     EXPECT_EXIT(t->onRoundComplete(0, 0), ::testing::ExitedWithCode(1),
                 "lost peer shard 1");

@@ -29,6 +29,7 @@
 #include "manager/topology.hh"
 #include "net/remote/socket.hh"
 #include "snapshot/snapshot.hh"
+#include "tests/temp_dir.hh"
 
 namespace firesim
 {
@@ -129,7 +130,7 @@ runMulti(const MultiSpec &spec,
         cc.shard.policy = spec.policy;
         cc.shard.profileIn = spec.profileIn;
         Cluster clu(topologies::twoLevel(2, 2), std::move(cc),
-                    std::move(fds[rank]));
+                    socketpairLinks(rank, std::move(fds[rank])));
         spawnWork(clu);
         body(clu, rank);
         dumps[rank] = strippedDump(clu);
@@ -160,7 +161,7 @@ TEST(DeployProfile, RoundTripsThroughTextFormat)
     p.serverCostNs = {12.5, 0.0, 3.0};
     p.linkFlits = {7, 0, 0, 42};
 
-    std::string path = ::testing::TempDir() + "fsprof_rt.prof";
+    std::string path = testTempDir() + "fsprof_rt.prof";
     ASSERT_EQ(p.saveFile(path), "");
 
     DeploymentProfile q;
@@ -261,7 +262,7 @@ TEST(DeployMapper, CostNeverWorseThanBlock)
 
 TEST(DeployProfile, ClusterWritesProfileAtTeardown)
 {
-    std::string path = ::testing::TempDir() + "fsprof_teardown.prof";
+    std::string path = testTempDir() + "fsprof_teardown.prof";
     std::remove(path.c_str());
     uint64_t topo_hash = 0;
     {
@@ -288,7 +289,7 @@ TEST(DeployProfile, ClusterWritesProfileAtTeardown)
 
 TEST(ReShard, OneProcessSnapshotRestoresAcrossPlans)
 {
-    std::string path = ::testing::TempDir() + "fsnp_reshard_1toN.snap";
+    std::string path = testTempDir() + "fsnp_reshard_1toN.snap";
     removeSnapshotFiles(path);
 
     // The snapshot source: a single-process run saved mid-flight.
@@ -342,7 +343,7 @@ TEST(ReShard, OneProcessSnapshotRestoresAcrossPlans)
 
 TEST(ReShard, ShardedSnapshotRestoresIntoOtherGeometries)
 {
-    std::string path = ::testing::TempDir() + "fsnp_reshard_Nto.snap";
+    std::string path = testTempDir() + "fsnp_reshard_Nto.snap";
     removeSnapshotFiles(path);
 
     // Source: a 2-shard block run saved mid-flight.
@@ -398,8 +399,8 @@ TEST(ReShard, ShardedSnapshotRestoresIntoOtherGeometries)
 
 TEST(ReShard, CostPolicyPlanRestoresByteIdentically)
 {
-    std::string snap = ::testing::TempDir() + "fsnp_reshard_cost.snap";
-    std::string prof_path = ::testing::TempDir() + "fsprof_cost.prof";
+    std::string snap = testTempDir() + "fsnp_reshard_cost.snap";
+    std::string prof_path = testTempDir() + "fsprof_cost.prof";
     removeSnapshotFiles(snap);
 
     // A profile that makes node0 look expensive enough that the cost
@@ -447,7 +448,7 @@ TEST(ReShard, SamePlanRestoreStillFullyVerifies)
     // owner map under the same shard count goes through the re-home
     // path (checked above); restoring the same plan still runs the
     // stats byte-check, and a topology mismatch is still refused.
-    std::string path = ::testing::TempDir() + "fsnp_reshard_verify.snap";
+    std::string path = testTempDir() + "fsnp_reshard_verify.snap";
     removeSnapshotFiles(path);
     runSingle([&](Cluster &clu) {
         clu.run(kSave);

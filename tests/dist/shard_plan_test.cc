@@ -153,6 +153,48 @@ TEST(ShardPlan, NumberingMatchesSingleProcessCluster)
                       std::optional<uint32_t>(port));
 }
 
+TEST(ShardPlan, EachRankRegistersTheWalkItOwns)
+{
+    // Both ranks of a two-shard build register endpoints in the one
+    // topology walk, keeping only what they own — so rank 1 lists
+    // node1 and node3 before its switch2, not switches first.
+    const std::vector<uint32_t> owners = {0, 1, 0, 1, 1, 0, 1, 0};
+    const std::vector<std::string> want[2] = {
+        {"switch0", "switch1", "node0", "node2", "node5", "node7"},
+        {"node1", "node3", "switch2", "node4", "node6"}};
+    auto [end0, end1] = loopbackLinkPair();
+    PeerLinks links[2];
+    links[0].emplace_back(1, std::move(end0));
+    links[1].emplace_back(0, std::move(end1));
+    std::unique_ptr<Cluster> ranks[2];
+    for (uint32_t r = 0; r < 2; ++r) {
+        ClusterConfig cc;
+        cc.shard.shards = 2;
+        cc.shard.rank = r;
+        cc.shard.owners = owners;
+        // Construction only sends Hello; both ranks fit on one thread.
+        ranks[r] = std::make_unique<Cluster>(topologies::twoLevel(2, 4),
+                                             cc, std::move(links[r]));
+    }
+    for (uint32_t r = 0; r < 2; ++r) {
+        const ShardPlan &plan = ranks[r]->plan();
+        std::vector<std::string> walked;
+        for (const ShardPlan::Component &c : plan.walkOrder) {
+            uint32_t owner = c.isSwitch ? plan.switchOwner[c.index]
+                                        : plan.serverOwner[c.index];
+            if (owner == r)
+                walked.push_back(csprintf(
+                    c.isSwitch ? "switch%u" : "node%u", c.index));
+        }
+        EXPECT_EQ(walked, want[r]) << "rank " << r;
+        const TokenFabric &fab = ranks[r]->fabric();
+        std::vector<std::string> registered;
+        for (size_t i = 0; i < fab.endpointCount(); ++i)
+            registered.push_back(fab.endpointAt(i).name());
+        EXPECT_EQ(registered, want[r]) << "rank " << r;
+    }
+}
+
 TEST(ShardPlanDeath, MoreShardsThanServersRejected)
 {
     SwitchSpec t = topologies::singleTor(2);

@@ -33,6 +33,7 @@
 #include "net/remote/peer_link.hh"
 #include "net/remote/socket.hh"
 #include "snapshot/snapshot.hh"
+#include "tests/temp_dir.hh"
 
 namespace firesim
 {
@@ -107,17 +108,19 @@ PairResult
 runPair(Fabric fabric,
         const std::function<void(Cluster &, uint32_t)> &body)
 {
-    std::vector<std::pair<uint32_t, SocketFd>> fds0, fds1;
-    std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>> links0,
-        links1;
+    PeerLinks links0, links1;
     if (fabric == Fabric::Loopback) {
         auto [end0, end1] = loopbackLinkPair();
         links0.emplace_back(1, std::move(end0));
         links1.emplace_back(0, std::move(end1));
     } else {
         auto [fd0, fd1] = localSocketPair();
+        TransportKind kind = shardConfig(0, fabric).shard.transport;
+        std::vector<std::pair<uint32_t, SocketFd>> fds0, fds1;
         fds0.emplace_back(1, std::move(fd0));
         fds1.emplace_back(0, std::move(fd1));
+        links0 = socketpairLinks(0, std::move(fds0), kind);
+        links1 = socketpairLinks(1, std::move(fds1), kind);
     }
 
     // Each rank needs a dump directory: the Stats piggyback provider
@@ -128,7 +131,7 @@ runPair(Fabric fabric,
     static int pair_seq = 0;
     std::string dir[2];
     for (int r = 0; r < 2; ++r) {
-        dir[r] = ::testing::TempDir() + "fs_matrix_r" +
+        dir[r] = testTempDir() + "fs_matrix_r" +
                  std::to_string(r) + "_" + std::to_string(pair_seq);
         ::mkdir(dir[r].c_str(), 0755);
     }
@@ -139,17 +142,9 @@ runPair(Fabric fabric,
     auto runShard = [&](uint32_t rank) {
         ClusterConfig cc = shardConfig(rank, fabric);
         cc.telemetry.dumpDir = dir[rank];
-        auto fds = rank == 0 ? std::move(fds0) : std::move(fds1);
-        auto links = rank == 0 ? std::move(links0) : std::move(links1);
-        std::unique_ptr<Cluster> clu;
-        if (fabric == Fabric::Loopback)
-            clu = std::make_unique<Cluster>(topologies::twoLevel(2, 2),
-                                            std::move(cc),
-                                            std::move(links));
-        else
-            clu = std::make_unique<Cluster>(topologies::twoLevel(2, 2),
-                                            std::move(cc),
-                                            std::move(fds));
+        auto clu = std::make_unique<Cluster>(
+            topologies::twoLevel(2, 2), std::move(cc),
+            std::move(rank == 0 ? links0 : links1));
         body(*clu, rank);
         out.kind[rank] = clu->shardTransport()->peerLinkAt(0)->kind();
         out.dump[rank] = stripHostTimingStats(
@@ -204,7 +199,7 @@ TEST(TransportMatrix, StrippedStatsAndMergedTelemetryAreByteIdentical)
 TEST(TransportMatrix, ShmSnapshotRestoresIntoSocketPair)
 {
     constexpr Cycles kSave = 200000, kTotal = 400000;
-    std::string path = ::testing::TempDir() + "fsnp_matrix.snap";
+    std::string path = testTempDir() + "fsnp_matrix.snap";
     std::remove((path + ".rank0").c_str());
     std::remove((path + ".rank1").c_str());
 
@@ -281,7 +276,7 @@ TEST(TransportMatrix, ShmPeerKillDegradesWithoutHangOrLeak)
         std::vector<std::pair<uint32_t, SocketFd>> fds1;
         fds1.emplace_back(0, std::move(fd1));
         Cluster c1(topologies::singleTor(2), shardConfig(1, Fabric::Shm),
-                   std::move(fds1));
+                   socketpairLinks(1, std::move(fds1), TransportKind::Shm));
         c1.run(kChildRun);
         ::raise(SIGKILL);
         ::_exit(0); // not reached
@@ -295,7 +290,7 @@ TEST(TransportMatrix, ShmPeerKillDegradesWithoutHangOrLeak)
     uint64_t peer_lost = 0;
     {
         Cluster c0(topologies::singleTor(2), std::move(cc0),
-                   std::move(fds0));
+                   socketpairLinks(0, std::move(fds0), TransportKind::Shm));
         spawnPinger(c0.node(0), 1); // cross-shard traffic
 
         EXPECT_EQ(c0.shardTransport()->peerLinkAt(0)->kind(),

@@ -134,12 +134,75 @@ TEST(ClusterBuild, StatsReportCoversEveryComponent)
     EXPECT_NE(report.find("10.0.0.1"), std::string::npos);
 }
 
+TEST(ClusterBuild, EndpointsRegisterInTopologyWalkOrder)
+{
+    // A switch, then its child subtrees, then its servers: endpoint
+    // indices (and so the step order, report rows and snapshot layout)
+    // follow the ShardPlan walk.
+    ClusterConfig cc;
+    Cluster cluster(topologies::twoLevel(2, 4), cc);
+    const std::vector<std::string> want = {
+        "switch0", "switch1", "node0", "node1", "node2", "node3",
+        "switch2", "node4",   "node5", "node6", "node7"};
+    ASSERT_EQ(cluster.fabric().endpointCount(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(cluster.fabric().endpointAt(i).name(), want[i])
+            << "endpoint " << i;
+        EXPECT_EQ(cluster.fabric().endpointIndexOf(want[i]),
+                  static_cast<int>(i));
+    }
+    const ShardPlan &plan = cluster.plan();
+    ASSERT_EQ(plan.walkOrder.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        const ShardPlan::Component &c = plan.walkOrder[i];
+        EXPECT_EQ(csprintf(c.isSwitch ? "switch%u" : "node%u", c.index),
+                  want[i]);
+    }
+    EXPECT_EQ(cluster.shardTransport(), nullptr);
+}
+
 TEST(ClusterBuildDeath, EmptyRootRejected)
 {
     SwitchSpec empty;
     ClusterConfig cc;
     EXPECT_EXIT(Cluster(std::move(empty), cc),
                 ::testing::ExitedWithCode(1), "empty root");
+}
+
+/** One loopback link end per listed peer rank. */
+PeerLinks
+linksTo(std::vector<uint32_t> peers)
+{
+    PeerLinks links;
+    for (uint32_t peer : peers)
+        links.emplace_back(peer, loopbackLinkPair().first);
+    return links;
+}
+
+TEST(ClusterBuildDeath, PeerLinksForOneShardRejected)
+{
+    ClusterConfig cc;
+    EXPECT_EXIT(Cluster(topologies::singleTor(2), cc, linksTo({1})),
+                ::testing::ExitedWithCode(1),
+                "peer links passed to a single-process cluster");
+}
+
+TEST(ClusterBuildDeath, PeerLinkCountMustBeShardsMinusOne)
+{
+    ClusterConfig cc;
+    cc.shard.shards = 3;
+    EXPECT_EXIT(Cluster(topologies::singleTor(3), cc, linksTo({1})),
+                ::testing::ExitedWithCode(1),
+                "shard 0: 1 peer link\\(s\\) for 3 shards");
+}
+
+TEST(ClusterBuildDeath, DuplicatePeerRankRejected)
+{
+    ClusterConfig cc;
+    cc.shard.shards = 3;
+    EXPECT_EXIT(Cluster(topologies::singleTor(3), cc, linksTo({1, 1})),
+                ::testing::ExitedWithCode(1),
+                "shard 0: duplicate peer link for rank 1");
 }
 
 } // namespace

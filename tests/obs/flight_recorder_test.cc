@@ -15,6 +15,7 @@
 
 #include "telemetry/flight_recorder.hh"
 #include "tests/telemetry/mini_json.hh"
+#include "tests/temp_dir.hh"
 
 namespace firesim
 {
@@ -29,7 +30,7 @@ testConfig(size_t depth, const char *file)
     FlightRecorderConfig fc;
     fc.enabled = true;
     fc.depth = depth;
-    fc.path = ::testing::TempDir() + file;
+    fc.path = testTempDir() + file;
     return fc;
 }
 

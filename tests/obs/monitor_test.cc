@@ -15,6 +15,7 @@
 #include "telemetry/flight_recorder.hh"
 #include "telemetry/monitor.hh"
 #include "tests/telemetry/mini_json.hh"
+#include "tests/temp_dir.hh"
 
 namespace firesim
 {
@@ -54,7 +55,7 @@ lines(const std::string &text)
 
 TEST(ClusterMonitor, HeartbeatJsonlSchema)
 {
-    std::string hb = ::testing::TempDir() + "fsobs_heartbeat.jsonl";
+    std::string hb = testTempDir() + "fsobs_heartbeat.jsonl";
     std::remove(hb.c_str());
 
     MonitorConfig mc;
@@ -102,8 +103,8 @@ TEST(ClusterMonitor, HeartbeatJsonlSchema)
 
 TEST(ClusterMonitor, PrometheusFileIsRefreshedInPlace)
 {
-    std::string hb = ::testing::TempDir() + "fsobs_prom_hb.jsonl";
-    std::string prom = ::testing::TempDir() + "fsobs_metrics.prom";
+    std::string hb = testTempDir() + "fsobs_prom_hb.jsonl";
+    std::string prom = testTempDir() + "fsobs_metrics.prom";
     std::remove(hb.c_str());
     std::remove(prom.c_str());
 
@@ -137,7 +138,7 @@ TEST(ClusterMonitor, PrometheusFileIsRefreshedInPlace)
 
 TEST(ClusterMonitor, RoundCadenceDrivesHeartbeats)
 {
-    std::string hb = ::testing::TempDir() + "fsobs_cadence.jsonl";
+    std::string hb = testTempDir() + "fsobs_cadence.jsonl";
     std::remove(hb.c_str());
 
     MonitorConfig mc;
@@ -164,7 +165,7 @@ TEST(ClusterMonitor, LatencySamplingIsStrided)
     // everything else on the monitored round path — so only one round
     // per latencySampleEvery is timed, round 0 always included (the
     // EWMA must be nonzero from the first heartbeat on).
-    std::string hb = ::testing::TempDir() + "fsobs_stride.jsonl";
+    std::string hb = testTempDir() + "fsobs_stride.jsonl";
     std::remove(hb.c_str());
 
     MonitorConfig mc;
@@ -195,7 +196,7 @@ TEST(ClusterMonitor, LatencySamplingIsStrided)
 
 TEST(ClusterMonitor, HealthEventsProviderFeedsHeartbeat)
 {
-    std::string hb = ::testing::TempDir() + "fsobs_health.jsonl";
+    std::string hb = testTempDir() + "fsobs_health.jsonl";
     std::remove(hb.c_str());
 
     MonitorConfig mc;
@@ -215,13 +216,13 @@ TEST(ClusterMonitor, HealthEventsProviderFeedsHeartbeat)
 
 TEST(ClusterMonitor, HeartbeatsMirrorIntoTheFlightRecorder)
 {
-    std::string hb = ::testing::TempDir() + "fsobs_mirror.jsonl";
+    std::string hb = testTempDir() + "fsobs_mirror.jsonl";
     std::remove(hb.c_str());
 
     FlightRecorderConfig fc;
     fc.enabled = true;
     fc.depth = 16;
-    fc.path = ::testing::TempDir() + "fsobs_mirror_fr.jsonl";
+    fc.path = testTempDir() + "fsobs_mirror_fr.jsonl";
     FlightRecorder fr(fc);
 
     MonitorConfig mc;
@@ -244,7 +245,7 @@ TEST(ClusterMonitor, RotatesLeftoverHeartbeatTrailToPrev)
     // A crashed run's heartbeat trail is the postmortem's primary
     // source; reopening with "wb" used to truncate it silently. The
     // monitor must rotate a non-empty leftover to `.prev` instead.
-    std::string hb = ::testing::TempDir() + "fsobs_rotate.jsonl";
+    std::string hb = testTempDir() + "fsobs_rotate.jsonl";
     std::string prev = hb + ".prev";
     std::remove(hb.c_str());
     std::remove(prev.c_str());
@@ -275,7 +276,7 @@ TEST(ClusterMonitor, RotatesLeftoverHeartbeatTrailToPrev)
 
 TEST(ClusterMonitor, EmptyLeftoverHeartbeatFileIsNotRotated)
 {
-    std::string hb = ::testing::TempDir() + "fsobs_rotate_empty.jsonl";
+    std::string hb = testTempDir() + "fsobs_rotate_empty.jsonl";
     std::string prev = hb + ".prev";
     std::remove(hb.c_str());
     std::remove(prev.c_str());
@@ -304,7 +305,7 @@ TEST(ClusterMonitor, OutOfRangeAlphaCannotUnderflowTheEwma)
     // past 1.0 used to make (256 - w) underflow, multiplying the EWMA
     // by ~16.7e6 every sample. Clamped, alpha >= 1.0 simply tracks the
     // newest sample.
-    std::string hb = ::testing::TempDir() + "fsobs_alpha.jsonl";
+    std::string hb = testTempDir() + "fsobs_alpha.jsonl";
     std::remove(hb.c_str());
 
     MonitorConfig mc;
@@ -334,7 +335,7 @@ TEST(ClusterMonitor, StragglerSinkLatchesOncePerRank)
     // No transport: the only latency sample is the local EWMA, so
     // detection has nothing to compare against and must stay silent
     // no matter how aggressive the factor is.
-    std::string hb = ::testing::TempDir() + "fsobs_straggler.jsonl";
+    std::string hb = testTempDir() + "fsobs_straggler.jsonl";
     std::remove(hb.c_str());
 
     MonitorConfig mc;

@@ -31,6 +31,7 @@
 #include "net/remote/socket.hh"
 #include "snapshot/snapshot.hh"
 #include "tests/telemetry/mini_json.hh"
+#include "tests/temp_dir.hh"
 
 namespace firesim
 {
@@ -71,7 +72,7 @@ jsonlLines(const std::string &text)
 std::string
 freshDir(const char *name)
 {
-    std::string dir = ::testing::TempDir() + name;
+    std::string dir = testTempDir() + name;
     mkdir(dir.c_str(), 0755);
     return dir;
 }
@@ -145,12 +146,12 @@ TEST(ObsCluster, MergedDumpMatchesSingleProcessRun)
     Cycles rtt = 0;
     std::thread shard1([&] {
         Cluster c1(topologies::singleTor(2), std::move(cc1),
-                   std::move(fds1));
+                   socketpairLinks(1, std::move(fds1)));
         c1.run(kRun);
     });
     {
         Cluster c0(topologies::singleTor(2), std::move(cc0),
-                   std::move(fds0));
+                   socketpairLinks(0, std::move(fds0)));
         spawnPing(c0.node(0), 1, &rtt);
         c0.run(kRun);
         ASSERT_NE(c0.aggregator(), nullptr);
@@ -224,8 +225,8 @@ TEST(ObsCluster, MergedDumpMatchesSingleProcessRun)
 TEST(ObsCluster, ShardedHeartbeatsCoverEveryRankAndLatchStragglers)
 {
     constexpr Cycles kRun = 40000; // 100 rounds at linkLatency 400
-    std::string hb_base = ::testing::TempDir() + "fsobs_cluster_hb.jsonl";
-    std::string prom_base = ::testing::TempDir() + "fsobs_cluster.prom";
+    std::string hb_base = testTempDir() + "fsobs_cluster_hb.jsonl";
+    std::string prom_base = testTempDir() + "fsobs_cluster.prom";
     std::string hb0 = snapshotRankPath(hb_base, 2, 0);
     std::string prom0 = snapshotRankPath(prom_base, 2, 0);
     std::remove(hb0.c_str());
@@ -247,7 +248,7 @@ TEST(ObsCluster, ShardedHeartbeatsCoverEveryRankAndLatchStragglers)
     cc0.monitor.stragglerFactor = 0.0;
     cc0.flightRecorder.enabled = true;
     cc0.flightRecorder.path =
-        ::testing::TempDir() + "fsobs_cluster_fr.jsonl";
+        testTempDir() + "fsobs_cluster_fr.jsonl";
     std::vector<std::pair<uint32_t, SocketFd>> fds0, fds1;
     fds0.emplace_back(1, std::move(fd0));
     fds1.emplace_back(0, std::move(fd1));
@@ -255,7 +256,7 @@ TEST(ObsCluster, ShardedHeartbeatsCoverEveryRankAndLatchStragglers)
     uint64_t hb1_count = 0;
     std::thread shard1([&] {
         Cluster c1(topologies::singleTor(2), std::move(cc1),
-                   std::move(fds1));
+                   socketpairLinks(1, std::move(fds1)));
         c1.run(kRun);
         hb1_count = c1.clusterMonitor()->heartbeats();
     });
@@ -264,7 +265,7 @@ TEST(ObsCluster, ShardedHeartbeatsCoverEveryRankAndLatchStragglers)
     uint64_t hb0_count = 0;
     {
         Cluster c0(topologies::singleTor(2), std::move(cc0),
-                   std::move(fds0));
+                   socketpairLinks(0, std::move(fds0)));
         c0.run(kRun);
         ASSERT_NE(c0.clusterMonitor(), nullptr);
         hb0_count = c0.clusterMonitor()->heartbeats();
@@ -322,7 +323,7 @@ TEST(ObsCluster, StragglersDetectWithoutHeartbeatsAndUnlatchDeadRanks)
     // a latched rank that dies must be unlatched, because a corpse is
     // not a straggler.
     constexpr Cycles kHalf = 20000; // 50 rounds at linkLatency 400
-    std::string prom_base = ::testing::TempDir() + "fsobs_nohb.prom";
+    std::string prom_base = testTempDir() + "fsobs_nohb.prom";
     std::remove(snapshotRankPath(prom_base, 2, 0).c_str());
     std::remove(snapshotRankPath(prom_base, 2, 1).c_str());
 
@@ -342,12 +343,12 @@ TEST(ObsCluster, StragglersDetectWithoutHeartbeatsAndUnlatchDeadRanks)
 
     std::thread shard1([&] {
         Cluster c1(topologies::singleTor(2), std::move(cc1),
-                   std::move(fds1));
+                   socketpairLinks(1, std::move(fds1)));
         c1.run(kHalf);
         // Destruction sends Bye: rank 0 sees an orderly mid-run exit.
     });
     Cluster c0(topologies::singleTor(2), std::move(cc0),
-               std::move(fds0));
+               socketpairLinks(0, std::move(fds0)));
     c0.run(kHalf);
     ASSERT_NE(c0.clusterMonitor(), nullptr);
     EXPECT_EQ(c0.clusterMonitor()->heartbeats(), 0u)
@@ -376,7 +377,7 @@ TEST(ObsCluster, KilledPeerLeavesAPostmortemOnRankZero)
 {
     constexpr Cycles kChildRun = 8000;
     constexpr Cycles kRun = 80000;
-    std::string fr_base = ::testing::TempDir() + "fsobs_postmortem.jsonl";
+    std::string fr_base = testTempDir() + "fsobs_postmortem.jsonl";
     std::string fr0 = snapshotRankPath(fr_base, 2, 0);
     std::remove(fr0.c_str());
 
@@ -394,7 +395,7 @@ TEST(ObsCluster, KilledPeerLeavesAPostmortemOnRankZero)
         std::vector<std::pair<uint32_t, SocketFd>> fds1;
         fds1.emplace_back(0, std::move(fd1));
         Cluster c1(topologies::singleTor(2), std::move(cc1),
-                   std::move(fds1));
+                   socketpairLinks(1, std::move(fds1)));
         c1.run(kChildRun);
         ::raise(SIGKILL);
         ::_exit(0); // not reached
@@ -413,7 +414,7 @@ TEST(ObsCluster, KilledPeerLeavesAPostmortemOnRankZero)
     uint64_t peer_lost = 0;
     {
         Cluster c0(topologies::singleTor(2), std::move(cc0),
-                   std::move(fds0));
+                   socketpairLinks(0, std::move(fds0)));
         c0.run(kRun); // survives the kill, degraded
         EXPECT_EQ(c0.now(), kRun);
         EXPECT_TRUE(c0.shardTransport()->anyPeerLost());

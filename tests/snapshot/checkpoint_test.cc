@@ -22,6 +22,7 @@
 #include "manager/cluster.hh"
 #include "manager/topology.hh"
 #include "snapshot/snapshot.hh"
+#include "tests/temp_dir.hh"
 
 namespace firesim
 {
@@ -58,7 +59,7 @@ statsDump(Cluster &clu)
 std::string
 tempSnap(const char *name)
 {
-    std::string path = ::testing::TempDir() + name;
+    std::string path = testTempDir() + name;
     std::remove(path.c_str());
     return path;
 }

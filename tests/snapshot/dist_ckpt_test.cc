@@ -22,6 +22,7 @@
 #include "manager/topology.hh"
 #include "net/remote/socket.hh"
 #include "snapshot/snapshot.hh"
+#include "tests/temp_dir.hh"
 
 namespace firesim
 {
@@ -69,20 +70,22 @@ runShardPair(
     std::vector<std::pair<uint32_t, SocketFd>> fds0, fds1;
     fds0.emplace_back(1, std::move(fd0));
     fds1.emplace_back(0, std::move(fd1));
+    PeerLinks links0 = socketpairLinks(0, std::move(fds0));
+    PeerLinks links1 = socketpairLinks(1, std::move(fds1));
 
     // Transport byte counters (cluster.shard.*) depend on kernel
     // recv() chunking, so byte identity is asserted on the filtered
     // dump — the same filter the snapshot's own stats check uses.
     std::thread shard1([&] {
         Cluster c1(topologies::twoLevel(2, 2), shardConfig(1),
-                   std::move(fds1));
+                   std::move(links1));
         body(c1, 1);
         dumps[1] = stripHostTimingStats(
             c1.telemetry()->registry().dumpJson(c1.now()));
     });
     {
         Cluster c0(topologies::twoLevel(2, 2), shardConfig(0),
-                   std::move(fds0));
+                   std::move(links0));
         body(c0, 0);
         dumps[0] = stripHostTimingStats(
             c0.telemetry()->registry().dumpJson(c0.now()));
@@ -106,7 +109,7 @@ spawnWork(Cluster &clu, uint32_t rank)
 TEST(DistCheckpoint, TwoShardRestoreIsByteIdentical)
 {
     constexpr Cycles kSave = 200000, kTotal = 400000;
-    std::string path = ::testing::TempDir() + "fsnp_dist.snap";
+    std::string path = testTempDir() + "fsnp_dist.snap";
     std::remove((path + ".rank0").c_str());
     std::remove((path + ".rank1").c_str());
 

@@ -7,6 +7,7 @@
 #include "riscv/assembler.hh"
 #include "riscv/core.hh"
 #include "telemetry/instr_trace.hh"
+#include "tests/temp_dir.hh"
 
 namespace firesim
 {
@@ -128,7 +129,7 @@ TEST(InstructionTrace, FileDumpRoundTrip)
     trace.record(0x2000, OpClass::Store, 7);
     trace.record(0x2004, OpClass::Jump, 9);
 
-    std::string path = ::testing::TempDir() + "fsit_roundtrip.bin";
+    std::string path = testTempDir() + "fsit_roundtrip.bin";
     ASSERT_TRUE(trace.writeCompressed(path));
     std::vector<TraceRecord> back = InstructionTrace::readCompressed(path);
     std::remove(path.c_str());

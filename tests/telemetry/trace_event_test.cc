@@ -11,6 +11,7 @@
 #include "telemetry/telemetry.hh"
 #include "telemetry/trace_event.hh"
 #include "tests/telemetry/mini_json.hh"
+#include "tests/temp_dir.hh"
 
 namespace firesim
 {
@@ -251,7 +252,7 @@ TEST(ClusterTelemetry, SimRatePhasesCoverEveryRunCall)
 
 TEST(ClusterTelemetry, DumpAtExitWritesParseableFiles)
 {
-    std::string dir = ::testing::TempDir() + "fs_telemetry_dump";
+    std::string dir = testTempDir() + "fs_telemetry_dump";
     std::remove((dir + "/stats.json").c_str());
 #ifdef _WIN32
     _mkdir(dir.c_str());
