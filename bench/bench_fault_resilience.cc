@@ -93,7 +93,8 @@ runScenario(const FaultPlan &plan, size_t src, size_t dst,
 int
 main(int argc, char **argv)
 {
-    bench::parseCommonFlags(argc, argv);
+    bench::parseCommonFlags(argc, argv,
+                            bench::Sharding::SingleProcessOnly);
     bench::banner("Resilience", "Deterministic fault injection and "
                                 "graceful degradation");
     TargetClock clk;

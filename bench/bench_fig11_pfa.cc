@@ -89,7 +89,8 @@ runOne(bool genome, PagingMode mode, double local_fraction,
 int
 main(int argc, char **argv)
 {
-    bench::parseCommonFlags(argc, argv);
+    bench::parseCommonFlags(argc, argv,
+                            bench::Sharding::SingleProcessOnly);
     bench::banner("Figure 11", "Hardware-accelerated vs software paging");
 
     PfaWorkloadConfig wc;

@@ -21,7 +21,8 @@ using namespace firesim;
 int
 main(int argc, char **argv)
 {
-    bench::parseCommonFlags(argc, argv);
+    bench::parseCommonFlags(argc, argv,
+                            bench::Sharding::SingleProcessOnly);
     bench::banner("Figure 5", "Ping RTT vs configured link latency");
     TargetClock clk;
     Table t({"Link latency (us)", "Ideal RTT (us)", "Measured RTT (us)",

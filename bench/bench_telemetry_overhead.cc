@@ -140,7 +140,8 @@ writeBenchJson(const char *path, double off_best, double hb_best,
 int
 main(int argc, char **argv)
 {
-    bench::parseCommonFlags(argc, argv);
+    bench::parseCommonFlags(argc, argv,
+                            bench::Sharding::SingleProcessOnly);
     bench::banner("Telemetry overhead",
                   "Out-of-band instrumentation cost on a 2-node ping run");
 

@@ -21,7 +21,6 @@
 #include "base/table.hh"
 #include "base/units.hh"
 #include "net/remote/peer_link.hh"
-#include "net/sched.hh"
 
 namespace firesim::bench
 {
@@ -66,36 +65,6 @@ inline unsigned
 parallelHosts()
 {
     return parallelHostsRef();
-}
-
-/** Round-scheduler policy (ClusterConfig::schedPolicy), set by
- *  parseCommonFlags(); defaults to round-robin. */
-inline SchedPolicy &
-schedPolicyRef()
-{
-    static SchedPolicy policy = SchedPolicy::RoundRobin;
-    return policy;
-}
-
-inline SchedPolicy
-schedPolicy()
-{
-    return schedPolicyRef();
-}
-
-/** Switch egress-slice width (ClusterConfig::switchSlicePorts), set by
- *  parseCommonFlags(); defaults to 4 (0 = monolithic switches). */
-inline unsigned &
-switchSlicePortsRef()
-{
-    static unsigned ports = 4;
-    return ports;
-}
-
-inline unsigned
-switchSlicePorts()
-{
-    return switchSlicePortsRef();
 }
 
 /**
@@ -467,23 +436,11 @@ ordinalSnapPath(const std::string &path, uint64_t ordinal)
                         : path + ".run" + std::to_string(ordinal);
 }
 
-/** Parse @p text as a scheduler policy name or exit(2). */
-inline SchedPolicy
-parseSchedKnob(const char *what, const char *text)
-{
-    SchedPolicy policy;
-    if (!text || !parseSchedPolicy(text, policy)) {
-        std::fprintf(stderr,
-                     "error: %s expects rr, cost, or steal, got '%s'\n",
-                     what, text ? text : "");
-        std::exit(2);
-    }
-    return policy;
-}
-
 /** Whether a bench can run as one rank of a sharded cluster. Benches
- *  that drive every node by its global index cannot: a rank builds
- *  only the nodes it owns. */
+ *  whose workload needs the whole cluster in one process cannot: a
+ *  rank builds only the nodes it owns, so driving every node by its
+ *  global index, attaching a cluster-wide health monitor, or picking
+ *  "the" pinger would crash or silently run a different experiment. */
 enum class Sharding
 {
     Supported,
@@ -494,11 +451,6 @@ enum class Sharding
  * Parse the flags every experiment binary understands:
  *   --parallel-hosts=N       fabric worker threads
  *                            (env FIRESIM_PARALLEL_HOSTS)
- *   --sched-policy=P         round scheduler: rr | cost | steal
- *                            (env FIRESIM_SCHED_POLICY)
- *   --switch-slice-ports=N   egress ports per switch advance slice,
- *                            0 = monolithic switches
- *                            (env FIRESIM_SWITCH_SLICE_PORTS)
  *   --shards=N               split the cluster across N OS processes
  *                            (env FIRESIM_SHARDS; default 1)
  *   --shard-rank=K           this process's shard, 0 <= K < N
@@ -566,11 +518,6 @@ parseCommonFlags(int argc, char **argv,
     if (const char *env = std::getenv("FIRESIM_PARALLEL_HOSTS"))
         parallelHostsRef() = parseUnsignedKnob("FIRESIM_PARALLEL_HOSTS",
                                                env);
-    if (const char *env = std::getenv("FIRESIM_SCHED_POLICY"))
-        schedPolicyRef() = parseSchedKnob("FIRESIM_SCHED_POLICY", env);
-    if (const char *env = std::getenv("FIRESIM_SWITCH_SLICE_PORTS"))
-        switchSlicePortsRef() =
-            parseUnsignedKnob("FIRESIM_SWITCH_SLICE_PORTS", env);
     if (const char *env = std::getenv("FIRESIM_SHARDS"))
         shardsRef() = parseUnsignedKnob("FIRESIM_SHARDS", env);
     if (const char *env = std::getenv("FIRESIM_SHARD_RANK"))
@@ -623,8 +570,6 @@ parseCommonFlags(int argc, char **argv,
             parseUnsignedKnob("FIRESIM_DECODE_CACHE_ENTRIES", env);
 
     const std::string hosts_flag = "--parallel-hosts=";
-    const std::string sched_flag = "--sched-policy=";
-    const std::string slice_flag = "--switch-slice-ports=";
     const std::string shards_flag = "--shards=";
     const std::string rank_flag = "--shard-rank=";
     const std::string connect_flag = "--shard-connect=";
@@ -650,12 +595,6 @@ parseCommonFlags(int argc, char **argv,
         if (arg.rfind(hosts_flag, 0) == 0)
             parallelHostsRef() = parseUnsignedKnob(
                 "--parallel-hosts", arg.c_str() + hosts_flag.size());
-        else if (arg.rfind(sched_flag, 0) == 0)
-            schedPolicyRef() = parseSchedKnob(
-                "--sched-policy", arg.c_str() + sched_flag.size());
-        else if (arg.rfind(slice_flag, 0) == 0)
-            switchSlicePortsRef() = parseUnsignedKnob(
-                "--switch-slice-ports", arg.c_str() + slice_flag.size());
         else if (arg.rfind(shards_flag, 0) == 0)
             shardsRef() = parseUnsignedKnob(
                 "--shards", arg.c_str() + shards_flag.size());
@@ -727,9 +666,8 @@ parseCommonFlags(int argc, char **argv,
         if (const char *slash = std::strrchr(bench, '/'))
             bench = slash + 1;
         std::fprintf(stderr,
-                     "error: %s does not support --shards=%u: it drives "
-                     "every node by global index, so it runs as one "
-                     "process only\n",
+                     "error: %s does not support --shards=%u: its "
+                     "workload needs the whole cluster in one process\n",
                      bench, shards());
         std::exit(2);
     }
@@ -772,9 +710,8 @@ parseCommonFlags(int argc, char **argv,
     }
     if (parallelHostsRef() > 1)
         std::printf("[bench] parallel hosts: %u fabric worker threads "
-                    "(sched policy: %s, switch slice ports: %u)\n",
-                    parallelHostsRef(),
-                    schedPolicyName(schedPolicy()), switchSlicePorts());
+                    "(advance units striped round-robin)\n",
+                    parallelHostsRef());
     if (shards() > 1)
         std::printf("[bench] distributed: shard %u of %u, rendezvous "
                     "%s:%u, transport %s\n",
@@ -793,8 +730,6 @@ inline void
 applyClusterFlags(ClusterConfigT &cc)
 {
     cc.parallelHosts = parallelHosts();
-    cc.schedPolicy = schedPolicy();
-    cc.switchSlicePorts = switchSlicePorts();
     cc.shard.shards = shards();
     cc.shard.rank = shardRank();
     cc.shard.connectHost = shardConnectHostRef();

@@ -84,9 +84,9 @@ class ThreadPool
      * the calling thread runs fn(0), spawned worker i runs fn(i + 1) —
      * and return when all have finished. Unlike parallelFor, the
      * mapping from id to host thread is fixed, so callers can hand each
-     * participant a private work queue (the round scheduler's
-     * work-stealing deques need stable owner identities). Same barrier
-     * and reentrancy rules as parallelFor; allocation-free.
+     * participant a fixed share of the work (the fabric's round-robin
+     * advance-unit striping). Same barrier and reentrancy rules as
+     * parallelFor; allocation-free.
      */
     template <typename Fn>
     void

@@ -64,6 +64,14 @@ planFor(const SwitchSpec &topo, const ClusterConfig &cfg)
             warn("shard %u: deployment profile %s is empty or missing; "
                  "cost policy degrades to uniform weights",
                  ss.rank, ss.profileIn.c_str());
+        else if (std::none_of(profile.serverCostNs.begin(),
+                              profile.serverCostNs.end(),
+                              [](double c) { return c > 0; }))
+            warn("shard %u: deployment profile %s has link traffic but "
+                 "no measured server cost (server costs are measured "
+                 "only with --parallel-hosts >= 2); cost policy uses "
+                 "uniform server weights",
+                 ss.rank, ss.profileIn.c_str());
     } else {
         warn("shard %u: --shard-policy=cost without --shard-profile-in; "
              "using uniform weights",
@@ -120,7 +128,6 @@ Cluster::Cluster(SwitchSpec root, ClusterConfig config, PeerLinks links)
             scfg.ports = plan.switchPorts[g];
             scfg.minLatency = cfg.switchLatency;
             scfg.dropBound = cfg.switchDropBound;
-            scfg.slicePorts = cfg.switchSlicePorts;
             switchGlobal.push_back(g);
             switches.push_back(std::make_unique<Switch>(scfg));
             switchEp[g] = switches.back().get();
@@ -218,7 +225,6 @@ Cluster::Cluster(SwitchSpec root, ClusterConfig config, PeerLinks links)
               "channels built",
               channelGlobalLink.size(), fabric_.channelCount());
     fabric_.setParallelHosts(cfg.parallelHosts);
-    fabric_.setSchedPolicy(cfg.schedPolicy);
 
     if (ss.shards > 1)
         connectShards(std::move(links));
@@ -454,15 +460,12 @@ Cluster::setupTelemetry()
     }
 
     if (cfg.telemetry.schedStats) {
-        // Wall-clock scheduler counters — gated separately because they
-        // make stats.json vary run to run (see TelemetryConfig). The
-        // telemetry vectors are sized lazily on the first parallel
-        // round, so the probes bounds-check.
+        // Wall-clock worker-pool counters — gated separately because
+        // they make stats.json vary run to run (see TelemetryConfig).
+        // A single-threaded fabric has no per-worker telemetry, so the
+        // probes bounds-check.
         reg.registerProbe("cluster.fabric.sched.maxMeanBusyRatio", [fab] {
             return fab->schedTelemetry().maxMeanBusyRatio();
-        });
-        reg.registerProbe("cluster.fabric.sched.steals", [fab] {
-            return static_cast<double>(fab->schedTelemetry().totalSteals());
         });
         for (unsigned w = 0; w < std::max(1u, cfg.parallelHosts); ++w) {
             std::string wp = csprintf("cluster.fabric.sched.worker%u", w);
@@ -477,10 +480,6 @@ Cluster::setupTelemetry()
             reg.registerProbe(wp + ".unitsRun", [worker] {
                 const auto *s = worker();
                 return s ? static_cast<double>(s->unitsRun) : 0.0;
-            });
-            reg.registerProbe(wp + ".steals", [worker] {
-                const auto *s = worker();
-                return s ? static_cast<double>(s->steals) : 0.0;
             });
         }
     }

@@ -143,21 +143,6 @@ struct ClusterConfig
      */
     unsigned parallelHosts = 1;
     /**
-     * Output ports per switch egress slice (SwitchConfig::slicePorts),
-     * applied to every switch the manager builds: big-radix switches
-     * split into multiple advance units so one 32-port ToR no longer
-     * serializes a parallel round. 0 keeps every switch monolithic.
-     * Bit-identical results for every value.
-     */
-    uint32_t switchSlicePorts = 4;
-    /**
-     * How the fabric's round scheduler places advance units on worker
-     * threads (net/sched.hh): static round-robin, EWMA-cost LPT
-     * partitioning, or cost partitioning plus work stealing. Pure host
-     * policy — results are bit-identical across policies.
-     */
-    SchedPolicy schedPolicy = SchedPolicy::RoundRobin;
-    /**
      * Distributed simulation (manager/shard.hh): with shards > 1 this
      * process builds only its own shard of the topology and carries
      * cross-shard links over the socket token transport (net/remote).
@@ -283,8 +268,8 @@ class Cluster
 
     /**
      * This rank's measured deployment profile: per-server advance
-     * cost (the scheduler's EWMA, nonzero only with parallelHosts
-     * >= 2) and per-global-link token traffic (channel flit counters
+     * cost (the fabric's per-unit EWMA, nonzero only with
+     * parallelHosts >= 2) and per-global-link token traffic (channel flit counters
      * plus the transport's cross-shard TX counters). Written to
      * ShardSpec::profileOut at destruction; feed it back via
      * profileIn with --shard-policy=cost.

@@ -5,10 +5,10 @@
  * partition is computed from *measured* load, not just topology).
  *
  * A DeploymentProfile carries the two host-side signals the runtime
- * already collects: per-endpoint advance cost (the round scheduler's
- * EWMA, net/sched) keyed by global server index, and per-directed-link
- * token traffic (channel flit counters plus the transport's per-link
- * TX counters) keyed by global link id. Each rank writes its local
+ * already collects: per-endpoint advance cost (the fabric's per-unit
+ * EWMA, TokenFabric::endpointCostNs) keyed by global server index,
+ * and per-directed-link token traffic (channel flit counters plus the
+ * transport's per-link TX counters) keyed by global link id. Each rank writes its local
  * view at end of run (--shard-profile-out); the loader merges the
  * per-rank files back into one whole-topology profile
  * (--shard-profile-in).
@@ -53,7 +53,7 @@ struct DeploymentProfile
      *  the same hash. */
     uint64_t topoHash = 0;
     /** Mean advance cost per round, ns, per global server index.
-     *  0 = unmeasured (single-threaded runs have no scheduler EWMA). */
+     *  0 = unmeasured (single-threaded runs time no advance units). */
     std::vector<double> serverCostNs;
     /** Token flits carried per directed global link id
      *  (ShardPlan::downLinkId/upLinkId). */

@@ -1,6 +1,7 @@
 #include "net/fabric.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <numeric>
 
 #include "net/token_io.hh"
@@ -8,6 +9,84 @@
 
 namespace firesim
 {
+
+namespace
+{
+
+uint64_t
+nowNs()
+{
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
+
+/** EWMA smoothing factor for unit costs: heavy enough to track
+ *  boot->idle phase changes within a few rounds, light enough to ride
+ *  out timer noise. */
+constexpr double kCostEwmaAlpha = 0.25;
+
+} // namespace
+
+void
+SchedTelemetry::reset(unsigned width)
+{
+    workers.assign(width, Worker{});
+    roundBusy.assign(width, 0);
+    rounds = 0;
+    sumMaxBusyNs = 0;
+    sumTotalBusyNs = 0;
+    sumMeanBusyNs = 0.0;
+}
+
+void
+SchedTelemetry::beginRound()
+{
+    std::fill(roundBusy.begin(), roundBusy.end(), 0);
+}
+
+void
+SchedTelemetry::endRound()
+{
+    uint64_t max = 0, total = 0;
+    unsigned active = 0;
+    for (uint64_t b : roundBusy) {
+        max = std::max(max, b);
+        total += b;
+        if (b > 0)
+            ++active;
+    }
+    // Rounds where nothing was measured would skew the ratio toward
+    // zero; skip them.
+    if (total == 0)
+        return;
+    ++rounds;
+    sumMaxBusyNs += max;
+    sumTotalBusyNs += total;
+    // Mean over the workers that did work this round, not the
+    // configured width: a round that used 2 of 8 workers perfectly
+    // evenly is balanced (ratio 1), not magically 4x better.
+    sumMeanBusyNs +=
+        static_cast<double>(total) / static_cast<double>(active);
+}
+
+double
+SchedTelemetry::maxMeanBusyRatio() const
+{
+    if (sumMeanBusyNs <= 0.0 || workers.empty())
+        return 0.0;
+    return static_cast<double>(sumMaxBusyNs) / sumMeanBusyNs;
+}
+
+void
+TokenFabric::AdvanceUnit::recordCost(uint64_t ns)
+{
+    double m = static_cast<double>(std::max<uint64_t>(ns, 1));
+    costNs = costNs == 0.0 ? m
+                           : kCostEwmaAlpha * m +
+                                 (1.0 - kCostEwmaAlpha) * costNs;
+}
 
 void
 TokenEndpoint::advanceBegin(Cycles window_start, Cycles window,
@@ -276,24 +355,15 @@ TokenFabric::setParallelHosts(unsigned hosts)
 {
     FS_ASSERT(!running, "setParallelHosts() mid-run");
     parHosts = hosts == 0 ? 1 : hosts;
-    if (parHosts >= 2) {
-        if (!workers || workers->width() != parHosts) {
-            workers = std::make_unique<ThreadPool>(parHosts);
-            schedWidth = 0; // force scheduler reconfiguration
-        }
-    } else {
-        workers.reset();
-        schedWidth = 0;
-    }
-}
-
-void
-TokenFabric::setSchedPolicy(SchedPolicy policy)
-{
-    FS_ASSERT(!running, "setSchedPolicy() mid-run");
-    schedPol = policy;
-    schedBegin.setPolicy(policy);
-    schedMain.setPolicy(policy);
+    unsigned width = parHosts >= 2 ? parHosts : 0;
+    if ((workers ? workers->width() : 0) == width)
+        return;
+    workers = width ? std::make_unique<ThreadPool>(width) : nullptr;
+    // Measurements from another width do not describe this one.
+    schedTel.reset(width);
+    for (std::vector<AdvanceUnit> *units : {&beginUnits, &mainUnits})
+        for (AdvanceUnit &u : *units)
+            u.costNs = 0.0;
 }
 
 void
@@ -403,9 +473,9 @@ TokenFabric::finalize()
         std::iota(stepOrder.begin(), stepOrder.end(), 0);
     }
 
-    // Build the advance-unit lists the round schedulers partition. A
-    // sliced endpoint contributes its serial prologue to the begin pass
-    // and one unit per slice to the main pass; everything else is one
+    // Build the advance-unit lists the worker pool stripes. A sliced
+    // endpoint contributes its serial prologue to the begin pass and
+    // one unit per slice to the main pass; everything else is one
     // monolithic unit in the main pass.
     beginUnits.clear();
     mainUnits.clear();
@@ -426,7 +496,6 @@ TokenFabric::finalize()
                 {static_cast<uint32_t>(i), AdvanceUnit::kWholeEndpoint});
         }
     }
-    schedWidth = 0; // unit lists changed; reconfigure before next run
 
     finalized = true;
 }
@@ -478,15 +547,11 @@ TokenFabric::txChannelOf(size_t endpoint_idx, uint32_t port) const
 double
 TokenFabric::endpointCostNs(size_t idx) const
 {
-    if (schedWidth == 0)
-        return 0.0; // never dispatched through the schedulers
     double total = 0.0;
-    for (size_t u = 0; u < beginUnits.size(); ++u)
-        if (beginUnits[u].endpoint == idx)
-            total += schedBegin.expectedCostNs(static_cast<uint32_t>(u));
-    for (size_t u = 0; u < mainUnits.size(); ++u)
-        if (mainUnits[u].endpoint == idx)
-            total += schedMain.expectedCostNs(static_cast<uint32_t>(u));
+    for (const std::vector<AdvanceUnit> *units : {&beginUnits, &mainUnits})
+        for (const AdvanceUnit &u : *units)
+            if (u.endpoint == idx)
+                total += u.costNs;
     return total;
 }
 
@@ -629,38 +694,41 @@ TokenFabric::advanceEndpoint(size_t idx)
 }
 
 void
-TokenFabric::execBeginUnit(uint32_t unit)
+TokenFabric::execUnit(const AdvanceUnit &unit)
 {
-    const AdvanceUnit &u = beginUnits[unit];
-    if (endpoints[u.endpoint].down)
+    if (endpoints[unit.endpoint].down)
         return;
-    advanceBeginPhase(u.endpoint);
-}
-
-void
-TokenFabric::execMainUnit(uint32_t unit)
-{
-    const AdvanceUnit &u = mainUnits[unit];
-    if (endpoints[u.endpoint].down)
-        return;
-    if (u.slice == AdvanceUnit::kWholeEndpoint)
-        advanceMonolithic(u.endpoint);
+    if (unit.slice == AdvanceUnit::kWholeEndpoint)
+        advanceMonolithic(unit.endpoint);
+    else if (unit.slice == FabricObserver::kBeginSlice)
+        advanceBeginPhase(unit.endpoint);
     else
-        advanceSlicePhase(u.endpoint, static_cast<uint32_t>(u.slice));
+        advanceSlicePhase(unit.endpoint,
+                          static_cast<uint32_t>(unit.slice));
 }
 
 void
-TokenFabric::ensureSchedulers()
+TokenFabric::dispatchUnits(std::vector<AdvanceUnit> &units)
 {
-    unsigned width = workers->width();
-    if (schedWidth == width)
+    if (units.empty())
         return;
-    schedWidth = width;
-    schedTel.reset(width);
-    schedBegin.configure(beginUnits.size(), width, &schedTel);
-    schedMain.configure(mainUnits.size(), width, &schedTel);
-    schedBegin.setPolicy(schedPol);
-    schedMain.setPolicy(schedPol);
+    workers->parallelRun([this, &units](unsigned w) {
+        // Each unit belongs to exactly one worker, so its cost and this
+        // worker's telemetry slots are written by one thread only.
+        size_t width = workers->width();
+        uint64_t busy = 0, run = 0;
+        for (size_t i = w; i < units.size(); i += width) {
+            uint64_t t0 = nowNs();
+            execUnit(units[i]);
+            uint64_t ns = nowNs() - t0;
+            units[i].recordCost(ns);
+            busy += ns;
+            ++run;
+        }
+        schedTel.workers[w].busyNs += busy;
+        schedTel.workers[w].unitsRun += run;
+        schedTel.roundBusy[w] += busy;
+    });
 }
 
 void
@@ -744,22 +812,9 @@ TokenFabric::run(Cycles cycles)
         // begin pass (sliced endpoints' serial prologues) fully
         // completes before any slice of the main pass runs.
         if (workers) {
-            ensureSchedulers();
             schedTel.beginRound();
-            if (!beginUnits.empty()) {
-                schedBegin.dispatch(
-                    *workers,
-                    [](void *ctx, uint32_t u) {
-                        static_cast<TokenFabric *>(ctx)->execBeginUnit(u);
-                    },
-                    this);
-            }
-            schedMain.dispatch(
-                *workers,
-                [](void *ctx, uint32_t u) {
-                    static_cast<TokenFabric *>(ctx)->execMainUnit(u);
-                },
-                this);
+            dispatchUnits(beginUnits);
+            dispatchUnits(mainUnits);
             schedTel.endRound();
         } else {
             for (size_t idx : stepOrder)

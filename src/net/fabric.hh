@@ -32,9 +32,8 @@
  *      workers touch only their endpoint's private buffers — channels
  *      are never accessed concurrently. Endpoints may further split
  *      this phase into AdvanceUnits (a serial begin, N concurrent
- *      slices, a driving-thread merge — see TokenEndpoint); a
- *      RoundScheduler (net/sched.hh) places the units on workers,
- *      optionally cost-model-driven with work stealing. Placement is
+ *      slices, a driving-thread merge — see TokenEndpoint), and worker
+ *      w of a W-wide pool runs units w, w+W, w+2W, ... Placement is
  *      pure host policy and never affects simulated state.
  *   3. commit (driving thread, step order): per endpoint, merge any
  *      slice scratch, then run transmit observers and push the
@@ -66,7 +65,6 @@
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
 #include "base/units.hh"
-#include "net/sched.hh"
 #include "net/token.hh"
 
 namespace firesim
@@ -76,6 +74,50 @@ class TokenFabric;
 class Serializer;
 class Deserializer;
 struct SnapshotErrors;
+
+/**
+ * Host-side load-balance accounting for the parallel advance phase,
+ * shared by the begin and main passes so per-worker busy time
+ * aggregates per *round*. All numbers are wall-clock: never
+ * byte-identical between runs, never part of the deterministic
+ * telemetry surface.
+ */
+struct SchedTelemetry
+{
+    struct Worker
+    {
+        uint64_t busyNs = 0;   //!< total ns spent inside unit advances
+        uint64_t unitsRun = 0; //!< units this worker executed
+    };
+
+    std::vector<Worker> workers;
+    uint64_t rounds = 0;         //!< measured rounds
+    uint64_t sumMaxBusyNs = 0;   //!< Σ over rounds of max-worker busy
+    uint64_t sumTotalBusyNs = 0; //!< Σ over rounds of Σ-worker busy
+    /** Σ over rounds of (Σ-worker busy / workers *that did work*).
+     *  Dividing by the configured width would understate imbalance
+     *  whenever a round uses fewer workers than the pool has (fewer
+     *  units than workers, a begin-only pass, ...). */
+    double sumMeanBusyNs = 0.0;
+    /** Per-round per-worker busy scratch (both passes accumulate into
+     *  the same round). */
+    std::vector<uint64_t> roundBusy;
+
+    /** Reset all counters for a pool of @p width workers. */
+    void reset(unsigned width);
+
+    /** Bracket one fabric round (driving thread). */
+    void beginRound();
+    void endRound();
+
+    /**
+     * Load-balance figure of merit, weighted by round length:
+     * Σ(per-round max worker busy) / Σ(per-round mean busy of the
+     * workers that did work). 1.0 is perfect balance; N is one worker
+     * doing everything while N-1 active workers idle.
+     */
+    double maxMeanBusyRatio() const;
+};
 
 /** One direction of a simulated link. */
 class TokenChannel
@@ -527,17 +569,10 @@ class TokenFabric
     unsigned parallelHosts() const { return parHosts; }
 
     /**
-     * Select how advance units are partitioned across the worker pool
-     * (net/sched.hh). Pure host-side placement: results and telemetry
-     * are byte-identical for every policy. Must not be called mid-run.
-     */
-    void setSchedPolicy(SchedPolicy policy);
-    SchedPolicy schedPolicy() const { return schedPol; }
-
-    /**
      * Wall-clock per-worker load accounting for the parallel round
-     * loop. Meaningful only after run() with parallelHosts >= 2;
-     * never part of the deterministic telemetry surface.
+     * loop, reset whenever the pool width changes. Meaningful only
+     * after run() with parallelHosts >= 2; never part of the
+     * deterministic telemetry surface.
      */
     const SchedTelemetry &schedTelemetry() const { return schedTel; }
 
@@ -612,11 +647,12 @@ class TokenFabric
 
     /**
      * Measured advance cost of endpoint @p idx in ns per round: the
-     * round schedulers' EWMA summed over the endpoint's advance units
-     * (begin + slices or the monolithic advance). 0 until measured —
-     * the cost model only runs with parallelHosts >= 2. Host-side
-     * accounting for the deployment mapper (manager/deploy); never
-     * part of the deterministic simulation surface.
+     * per-unit EWMA summed over the endpoint's advance units (begin +
+     * slices or the monolithic advance). 0 until measured — units are
+     * timed only with parallelHosts >= 2, and a pool width change
+     * starts the measurement over. Host-side accounting for the
+     * deployment mapper (manager/deploy); never part of the
+     * deterministic simulation surface.
      */
     double endpointCostNs(size_t idx) const;
 
@@ -696,16 +732,28 @@ class TokenFabric
     };
 
     /**
-     * One schedulable piece of a round's advance phase: either a whole
-     * endpoint's advance() (slice == kWholeEndpoint) or one slice of a
-     * sliced endpoint. Built at finalize(); indices into these lists
-     * are what the RoundScheduler partitions.
+     * One schedulable piece of a round's advance phase: a whole
+     * endpoint's advance() (slice == kWholeEndpoint), a sliced
+     * endpoint's serial prologue (FabricObserver::kBeginSlice), or one
+     * of its slices. Built at finalize(); the worker pool stripes each
+     * pass's list round-robin.
      */
     struct AdvanceUnit
     {
-        static constexpr int32_t kWholeEndpoint = -1;
+        static constexpr int32_t kWholeEndpoint = -2;
+        static_assert(kWholeEndpoint != FabricObserver::kBeginSlice);
         uint32_t endpoint = 0;
         int32_t slice = kWholeEndpoint;
+        /** EWMA of the unit's measured advance wall time in ns; 0.0
+         *  means never measured. Written only by the worker that runs
+         *  the unit; the dispatch barrier publishes it. */
+        double costNs = 0.0;
+
+        /** Fold one measurement into costNs. Samples are clamped to
+         *  >= 1 ns: a unit cheaper than the clock tick would otherwise
+         *  collide with the never-measured sentinel and re-seed every
+         *  round. */
+        void recordCost(uint64_t ns);
     };
 
     /**
@@ -756,15 +804,15 @@ class TokenFabric
     void commitEndpoint(size_t idx);
 
     // Phase-2 building blocks shared by the single-threaded path and
-    // the scheduler's unit bodies (any worker thread).
+    // the pool's unit bodies (any worker thread).
     void advanceMonolithic(size_t idx);
     void advanceBeginPhase(size_t idx);
     void advanceSlicePhase(size_t idx, uint32_t slice);
-    /** Scheduler unit bodies. */
-    void execBeginUnit(uint32_t unit);
-    void execMainUnit(uint32_t unit);
-    /** (Re)configure the schedulers when the pool width changed. */
-    void ensureSchedulers();
+    /** Run one unit (skipped when its endpoint is down). */
+    void execUnit(const AdvanceUnit &unit);
+    /** Parallel phase 2 for one pass: worker w runs units w, w+W, ...,
+     *  timing each into its cost and the worker's busy time. */
+    void dispatchUnits(std::vector<AdvanceUnit> &units);
 
     Cycles functionalWindow = 0; //!< 0 = cycle-exact timing
     std::vector<Link> pendingLinks;
@@ -781,17 +829,13 @@ class TokenFabric
     FlitPool pool;
     std::unique_ptr<ThreadPool> workers; //!< null when single-threaded
     unsigned parHosts = 1;
-    // Advance-unit lists (finalize) and their round schedulers. The
-    // begin pass holds sliced endpoints' serial prologues; the main
-    // pass holds every slice plus every monolithic advance. Two passes
-    // ensure a sliced endpoint's ingress completes before its slices.
+    // Advance-unit lists (finalize). The begin pass holds sliced
+    // endpoints' serial prologues; the main pass holds every slice plus
+    // every monolithic advance. Two passes ensure a sliced endpoint's
+    // ingress completes before its slices.
     std::vector<AdvanceUnit> beginUnits;
     std::vector<AdvanceUnit> mainUnits;
-    RoundScheduler schedBegin;
-    RoundScheduler schedMain;
     SchedTelemetry schedTel;
-    SchedPolicy schedPol = SchedPolicy::RoundRobin;
-    unsigned schedWidth = 0; //!< pool width the schedulers are built for
     Cycles quant = 0;
     Cycles curCycle = 0;
     uint64_t roundCount = 0;

@@ -441,6 +441,45 @@ TEST(ReShard, CostPolicyPlanRestoresByteIdentically)
     std::remove(prof_path.c_str());
 }
 
+TEST(ReShard, CostPlanWarnsWhenProfileHasNoServerCost)
+{
+    // A 1-thread run times no advance units, so its profile carries
+    // link traffic but no server cost. A cost plan fed that profile
+    // falls back to uniform weights and must say why.
+    std::string prof_path = testTempDir() + "fsprof_nocost.prof";
+    {
+        ClusterConfig cc = testConfig();
+        cc.shard.profileOut = prof_path;
+        Cluster clu(topologies::twoLevel(2, 2), std::move(cc));
+        spawnWork(clu);
+        clu.run(kSave);
+    }
+    DeploymentProfile prof;
+    std::string err;
+    ASSERT_TRUE(prof.loadFile(prof_path, &err)) << err;
+    ASSERT_FALSE(prof.empty()); // the link traffic is there
+    for (double c : prof.serverCostNs)
+        ASSERT_EQ(c, 0.0);
+
+    MultiSpec cost2;
+    cost2.policy = ShardPolicy::Cost;
+    cost2.profileIn = prof_path;
+    ShardPlan block = ShardPlan::build(topologies::twoLevel(2, 2), 2, 400,
+                                       10, 0);
+    ::testing::internal::CaptureStderr();
+    runMulti(cost2, [&](Cluster &clu, uint32_t) {
+        EXPECT_EQ(clu.plan().serverOwner, block.serverOwner)
+            << "uniform weights must reproduce the block split";
+        clu.run(kSave); // the round barrier keeps both ranks up
+    });
+    std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("no measured server cost"), std::string::npos)
+        << log;
+    EXPECT_NE(log.find("--parallel-hosts >= 2"), std::string::npos)
+        << log;
+    std::remove(prof_path.c_str());
+}
+
 TEST(ReShard, SamePlanRestoreStillFullyVerifies)
 {
     // The re-shard machinery must not have cost the same-plan path its
