@@ -468,6 +468,7 @@ TokenFabric::finalize()
         state.outs.reserve(ports);
     }
 
+    wake.assign(endpoints.size(), 0);
     if (stepOrder.empty()) {
         stepOrder.resize(endpoints.size());
         std::iota(stepOrder.begin(), stepOrder.end(), 0);
@@ -567,19 +568,46 @@ TokenFabric::reportAnomaly(FabricObserver::Anomaly kind,
     return recovered;
 }
 
+bool
+TokenFabric::inputsQuiet(const EndpointState &state) const
+{
+    for (const TokenChannel *chan : state.in) {
+        const TokenBatch *head = chan->front();
+        if (!head || head->start != curCycle || !head->flits.empty())
+            return false;
+    }
+    return true;
+}
+
 void
 TokenFabric::prepareEndpoint(size_t idx)
 {
     EndpointState &state = endpoints[idx];
-    uint32_t ports = state.endpoint->numPorts();
+    auto ports = static_cast<uint32_t>(state.in.size());
 
     state.down = false;
     for (FabricObserver *obs : observers)
         state.down |= obs->endpointDown(idx, curCycle);
+    // A down endpoint's clock stops where its last round left it, so
+    // one that was skipped as quiet catches up to this round first.
+    if (state.quiet && state.down)
+        state.endpoint->idleTo(curCycle);
 
-    // Recycle the previous round's input storage: these flit vectors
-    // arrived through the channels from whoever produced them, and feed
-    // the pool that the output batches below draw from.
+    // Quiet: nothing arrives and nothing is due before the window
+    // ends. Its inputs stay in their channels until commit forwards
+    // them as its outputs.
+    state.quiet = !state.down && wake[idx] >= curCycle + quant &&
+                  inputsQuiet(state);
+    if (state.quiet)
+        return;
+
+    // Recycle the input storage of this endpoint's last run: these flit
+    // vectors arrived through the channels from whoever produced them,
+    // and feed the pool that the output batches below draw from. A
+    // quiet endpoint keeps them until it runs again and takes them
+    // straight back, so each link keeps the storage its own traffic
+    // grew; pooling them while it sleeps would hand small vectors to
+    // busy links to regrow and leave grown ones idle.
     for (TokenBatch &spent : state.popped)
         pool.recycle(std::move(spent.flits));
     state.popped.clear();
@@ -679,7 +707,7 @@ void
 TokenFabric::advanceEndpoint(size_t idx)
 {
     EndpointState &state = endpoints[idx];
-    if (state.down)
+    if (state.down || state.quiet)
         return;
     if (state.slices > 1) {
         // Single-threaded sliced execution: same phases, same observer
@@ -696,7 +724,8 @@ TokenFabric::advanceEndpoint(size_t idx)
 void
 TokenFabric::execUnit(const AdvanceUnit &unit)
 {
-    if (endpoints[unit.endpoint].down)
+    const EndpointState &state = endpoints[unit.endpoint];
+    if (state.down || state.quiet)
         return;
     if (unit.slice == AdvanceUnit::kWholeEndpoint)
         advanceMonolithic(unit.endpoint);
@@ -718,6 +747,12 @@ TokenFabric::dispatchUnits(std::vector<AdvanceUnit> &units)
         size_t width = workers->width();
         uint64_t busy = 0, run = 0;
         for (size_t i = w; i < units.size(); i += width) {
+            if (endpoints[units[i].endpoint].quiet) {
+                // Costs nothing this round; the clamp records 1 ns, so
+                // a mostly idle endpoint reads as cheap.
+                units[i].recordCost(0);
+                continue;
+            }
             uint64_t t0 = nowNs();
             execUnit(units[i]);
             uint64_t ns = nowNs() - t0;
@@ -735,55 +770,68 @@ void
 TokenFabric::commitEndpoint(size_t idx)
 {
     EndpointState &state = endpoints[idx];
-    uint32_t ports = state.endpoint->numPorts();
-    // Sliced endpoints fold their per-slice scratch into shared state
-    // here, on the driving thread in step order, before any of their
-    // batches are observed or pushed.
-    if (state.slices > 1 && !state.down)
-        state.endpoint->advanceMerge(curCycle, quant, state.outs);
-    for (uint32_t p = 0; p < ports; ++p) {
-        TokenChannel *chan = state.out[p];
-        if (!chan) {
-            // Remote TX: no local channel — serialize the batch to the
-            // peer shard instead. Still on the driving thread in step
-            // order, so the byte stream (and therefore the peer's
-            // simulation) is independent of the worker count. The
-            // length invariant is the push()-side check; contiguity is
-            // re-checked by the peer's RX push().
-            FS_ASSERT(state.remoteOut[p] >= 0 && remoteHook,
-                      "unconnected TX port %u on %s", p,
-                      state.endpoint->name().c_str());
-            FS_ASSERT(state.outs[p].len == quant,
-                      "batch len %u != quantum %llu on remote link %lld",
-                      state.outs[p].len, (unsigned long long)quant,
-                      (long long)state.remoteOut[p]);
-            remoteHook->onTxBatch(
-                static_cast<uint32_t>(state.remoteOut[p]), state.outs[p]);
-            pool.recycle(std::move(state.outs[p].flits));
-            ++batchCount;
-            continue;
-        }
-        for (FabricObserver *obs : observers)
-            obs->onTransmit(state.outChan[p], state.outs[p]);
-        TokenChannel::PushError err = chan->accepts(state.outs[p]);
-        if (err != TokenChannel::PushError::Ok) {
-            auto kind = err == TokenChannel::PushError::BadLength
-                            ? FabricObserver::Anomaly::BadLength
-                            : FabricObserver::Anomaly::NonContiguous;
-            if (reportAnomaly(kind, idx, p, state.outChan[p],
-                              state.outs[p])) {
-                // Substitute a well-formed empty batch to keep the
-                // channel's token stream intact.
-                pool.recycle(std::move(state.outs[p].flits));
-                state.outs[p] =
-                    TokenBatch(curCycle, static_cast<uint32_t>(quant));
-            }
-            // else: fall through to push(), which aborts with the
-            // channel label.
-        }
-        chan->push(std::move(state.outs[p]));
-        ++batchCount;
+    auto ports = static_cast<uint32_t>(state.in.size());
+    if (state.quiet) {
+        // Pass-through: each port emits the empty batch it was handed,
+        // so a quiet round touches neither the endpoint nor the pool.
+        for (uint32_t p = 0; p < ports; ++p)
+            transmit(idx, p, state.in[p]->popUnchecked());
+        return;
     }
+    if (!state.down) {
+        // Sliced endpoints fold their per-slice scratch into shared
+        // state here, on the driving thread in step order, before any
+        // of their batches are observed or pushed.
+        if (state.slices > 1)
+            state.endpoint->advanceMerge(curCycle, quant, state.outs);
+        wake[idx] = state.endpoint->nextActivity();
+    }
+    for (uint32_t p = 0; p < ports; ++p)
+        transmit(idx, p, std::move(state.outs[p]));
+}
+
+void
+TokenFabric::transmit(size_t idx, uint32_t p, TokenBatch &&batch)
+{
+    EndpointState &state = endpoints[idx];
+    TokenChannel *chan = state.out[p];
+    ++batchCount;
+    if (!chan) {
+        // Remote TX: no local channel — serialize the batch to the
+        // peer shard instead. Still on the driving thread in step
+        // order, so the byte stream (and therefore the peer's
+        // simulation) is independent of the worker count. The length
+        // invariant is the push()-side check; contiguity is re-checked
+        // by the peer's RX push().
+        FS_ASSERT(state.remoteOut[p] >= 0 && remoteHook,
+                  "unconnected TX port %u on %s", p,
+                  state.endpoint->name().c_str());
+        FS_ASSERT(batch.len == quant,
+                  "batch len %u != quantum %llu on remote link %lld",
+                  batch.len, (unsigned long long)quant,
+                  (long long)state.remoteOut[p]);
+        remoteHook->onTxBatch(static_cast<uint32_t>(state.remoteOut[p]),
+                              batch);
+        pool.recycle(std::move(batch.flits));
+        return;
+    }
+    for (FabricObserver *obs : observers)
+        obs->onTransmit(state.outChan[p], batch);
+    TokenChannel::PushError err = chan->accepts(batch);
+    if (err != TokenChannel::PushError::Ok) {
+        auto kind = err == TokenChannel::PushError::BadLength
+                        ? FabricObserver::Anomaly::BadLength
+                        : FabricObserver::Anomaly::NonContiguous;
+        if (reportAnomaly(kind, idx, p, state.outChan[p], batch)) {
+            // Substitute a well-formed empty batch to keep the
+            // channel's token stream intact.
+            pool.recycle(std::move(batch.flits));
+            batch = TokenBatch(curCycle, static_cast<uint32_t>(quant));
+        }
+        // else: fall through to push(), which aborts with the channel
+        // label.
+    }
+    chan->push(std::move(batch));
 }
 
 void
@@ -794,6 +842,9 @@ TokenFabric::run(Cycles cycles)
               "remote links configured but no RemoteRoundHook attached");
     running = true;
     Cycles target = curCycle + cycles;
+    // Work may have been scheduled on any endpoint since the last run.
+    for (size_t i = 0; i < endpoints.size(); ++i)
+        wake[i] = endpoints[i].endpoint->nextActivity();
 
     while (curCycle < target) {
         for (FabricObserver *obs : observers)
@@ -839,6 +890,14 @@ TokenFabric::run(Cycles cycles)
 
         curCycle += quant;
         ++roundCount;
+    }
+    // Endpoint clocks are observable between runs: bring the ones the
+    // last round skipped up to date.
+    for (EndpointState &state : endpoints) {
+        if (state.quiet) {
+            state.endpoint->idleTo(curCycle);
+            state.quiet = false;
+        }
     }
     running = false;
 }

@@ -24,8 +24,9 @@
  * executed in three phases:
  *
  *   1. prepare (driving thread, step order): per endpoint, query the
- *      observers' down-verdict, pop one input batch per port, and hand
- *      the endpoint recycled output batches.
+ *      observers' down-verdict, then decide whether the endpoint is
+ *      *quiet* (below). A quiet endpoint is left alone; any other pops
+ *      one input batch per port and is handed recycled output batches.
  *   2. advance (worker pool, barrier at the end): endpoint->advance()
  *      calls run concurrently. Every channel already holds this round's
  *      input batch before the round starts (latency seeding), so
@@ -34,10 +35,22 @@
  *      this phase into AdvanceUnits (a serial begin, N concurrent
  *      slices, a driving-thread merge — see TokenEndpoint), and worker
  *      w of a W-wide pool runs units w, w+W, w+2W, ... Placement is
- *      pure host policy and never affects simulated state.
+ *      pure host policy and never affects simulated state. Quiet
+ *      endpoints are not called.
  *   3. commit (driving thread, step order): per endpoint, merge any
  *      slice scratch, then run transmit observers and push the
- *      produced batches into their channels.
+ *      produced batches into their channels. A quiet endpoint's
+ *      output on each port is its (empty) input batch from that port,
+ *      popped and pushed through the same transmit sequence.
+ *
+ * Quiet endpoints (the idle fast path): an endpoint is quiet for a
+ * round when it is not down, every input batch is empty and current,
+ * and its nextActivity() lies at or after the round's end. Advancing
+ * it would emit empty batches and change nothing but its clock, so the
+ * fabric forwards the empty batches itself and calls idleTo() once the
+ * endpoint's clock becomes observable: when it goes down, or when run()
+ * returns. The cached wake cycle is refreshed at run() start and after
+ * each real advance, so work scheduled between run() calls is seen.
  *
  * Because phases 1 and 3 run on the driving thread in step order, every
  * observer callback except onAdvanceStart/onAdvanceEnd fires in a
@@ -166,6 +179,9 @@ class TokenChannel
     /** Consumer side: true when a batch is ready. */
     bool ready() const { return used > 0; }
 
+    /** Consumer side: the batch the next pop would return, or null. */
+    const TokenBatch *front() const { return used ? &slots[head] : nullptr; }
+
     /** Consumer side: dequeue the next batch. */
     TokenBatch pop();
 
@@ -236,6 +252,14 @@ class TokenChannel
  * cross-endpoint interaction is mediated by the latency-buffered token
  * channels, so an endpoint that only touches its own state (every
  * endpoint in this code base) needs no synchronization.
+ *
+ * Idle skipping: the fabric does not call an endpoint whose inputs are
+ * empty and whose nextActivity() is at or after the window end (see
+ * the file comment). The default nextActivity() of 0 means "always
+ * busy". A subclass that keeps private pending work — anything that
+ * would put a flit on a link or change its state without an input
+ * flit — must override nextActivity() to report it, or make it return
+ * 0 while such work exists.
  */
 class TokenEndpoint
 {
@@ -259,6 +283,23 @@ class TokenEndpoint
     virtual void advance(Cycles window_start, Cycles window,
                          const std::vector<const TokenBatch *> &in,
                          std::vector<TokenBatch> &out) = 0;
+
+    /**
+     * Earliest cycle at which this endpoint has self-started work: an
+     * event due, a flit queued for transmit. kNoCycle means nothing is
+     * pending. Read on the driving thread after each advance and at
+     * the start of run(). The default, 0, means "always busy", so the
+     * endpoint is never skipped.
+     */
+    virtual Cycles nextActivity() const { return 0; }
+
+    /**
+     * Move the clock of an endpoint the fabric skipped forward to
+     * @p cycle, as if it had advanced through empty windows. Called on
+     * the driving thread only, and only with nothing due before
+     * @p cycle. The default does nothing.
+     */
+    virtual void idleTo(Cycles cycle) { (void)cycle; }
 
     // ---- Sliced advance (optional) -----------------------------------
     //
@@ -310,6 +351,9 @@ class TokenEndpoint
  *   -> skip notification for down endpoints -> advance brackets
  *   -> per port: onTransmit -> [output anomalies] -> onRoundEnd
  * Observers fire in registration order; endpointDown answers are OR-ed.
+ * endpointDown is asked of every endpoint every round and onTransmit
+ * fires for every batch, quiet endpoints included (TokenFabric file
+ * comment); only the advance and slice brackets are skipped for them.
  *
  * Threading contract: every callback fires on the fabric's driving
  * thread, in an order independent of the worker count, EXCEPT
@@ -371,7 +415,8 @@ class FabricObserver
 
     /**
      * Bracketing hooks around an endpoint's advance() call, fired only
-     * when the endpoint actually runs (not when skipped while down).
+     * when the endpoint actually runs: not when it is down, and not
+     * when it is quiet (TokenFabric file comment).
      * Host-time profilers (src/telemetry) hang scoped timers here to
      * attribute wall-clock to switch ticks vs blade ticks without
      * touching the endpoints themselves.
@@ -650,7 +695,8 @@ class TokenFabric
      * per-unit EWMA summed over the endpoint's advance units (begin +
      * slices or the monolithic advance). 0 until measured — units are
      * timed only with parallelHosts >= 2, and a pool width change
-     * starts the measurement over. Host-side accounting for the
+     * starts the measurement over. A round in which the endpoint is
+     * quiet counts as a 1 ns sample. Host-side accounting for the
      * deployment mapper (manager/deploy); never part of the
      * deterministic simulation surface.
      */
@@ -729,6 +775,9 @@ class TokenFabric
         std::vector<int64_t> remoteOut;
         uint32_t slices = 1; //!< cached advanceSliceCount()
         bool down = false;   //!< observers parked it this round
+        /** Skipped this round as quiet; its clock lags until it next
+         *  runs or idleTo() catches it up. */
+        bool quiet = false;
     };
 
     /**
@@ -796,19 +845,26 @@ class TokenFabric
                        const TokenBatch &batch);
 
     // ---- The three round phases (see the file comment) ---------------
-    /** Driving thread: down-verdict, input pops, output-batch prep. */
+    /** Driving thread: down-verdict, quiet verdict, input pops,
+     *  output-batch prep. */
     void prepareEndpoint(size_t idx);
+    /** True when every input of @p state holds an empty batch for the
+     *  current window. */
+    bool inputsQuiet(const EndpointState &state) const;
     /** Single-threaded phase 2: whole endpoint, slices inline. */
     void advanceEndpoint(size_t idx);
     /** Driving thread: slice merge, transmit observers, pushes. */
     void commitEndpoint(size_t idx);
+    /** Commit one produced batch on port @p port of endpoint @p idx:
+     *  transmit observers and push, or the remote hook. */
+    void transmit(size_t idx, uint32_t port, TokenBatch &&batch);
 
     // Phase-2 building blocks shared by the single-threaded path and
     // the pool's unit bodies (any worker thread).
     void advanceMonolithic(size_t idx);
     void advanceBeginPhase(size_t idx);
     void advanceSlicePhase(size_t idx, uint32_t slice);
-    /** Run one unit (skipped when its endpoint is down). */
+    /** Run one unit (skipped when its endpoint is down or quiet). */
     void execUnit(const AdvanceUnit &unit);
     /** Parallel phase 2 for one pass: worker w runs units w, w+W, ...,
      *  timing each into its cost and the worker's busy time. */
@@ -822,6 +878,9 @@ class TokenFabric
     std::vector<std::pair<uint32_t, TokenChannel *>> remoteRx;
     RemoteRoundHook *remoteHook = nullptr;
     std::vector<EndpointState> endpoints;
+    /** Per endpoint: its last reported nextActivity(). Dense, so the
+     *  prepare phase's quiet test stays in cache. */
+    std::vector<Cycles> wake;
     std::vector<std::unique_ptr<TokenChannel>> channels;
     size_t firstRemoteRx = 0; //!< remote RX channels follow local pairs
     std::vector<FabricObserver *> observers;

@@ -167,6 +167,14 @@ class Nic
      */
     void drainTx(Cycles window_start, TokenBatch &out);
 
+    /** Cycle of the earliest flit waiting for drainTx() (kNoCycle when
+     *  none is queued). */
+    Cycles
+    nextTxCycle() const
+    {
+        return txOutbox.empty() ? kNoCycle : txOutbox.front().first;
+    }
+
     /**
      * Serialize all controller queues, both DMA paths mid-transfer
      * (tx outbox flits, partial rx frame, token bucket), and the

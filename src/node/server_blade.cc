@@ -55,10 +55,12 @@ ServerBlade::advance(Cycles window_start, Cycles window,
     FS_ASSERT(in.size() == 1 && out.size() == 1,
               "blade %s is a single-port endpoint", cfg.name.c_str());
     // In normal cluster operation the event queue is driven only by
-    // advance(), so eq.now() == window_start exactly. In single-node
-    // co-simulation (a RocketCore driving devices through MMIO between
-    // fabric rounds) the queue may already have been run ahead; the
-    // window is then replayed with bounded skew.
+    // advance() and idleTo(), so eq.now() == window_start, or earlier
+    // with nothing due in between when the fabric skipped the blade's
+    // last rounds as quiet. In single-node co-simulation (a RocketCore
+    // driving devices through MMIO between fabric rounds) the queue may
+    // already have been run ahead; the window is then replayed with
+    // bounded skew.
     Cycles window_end = window_start + window;
 
     // Turn each arriving token into a NIC delivery at its exact cycle.
@@ -82,6 +84,27 @@ ServerBlade::advance(Cycles window_start, Cycles window,
 
     // Emit this window's transmitted tokens.
     nicDev->drainTx(window_start, out[0]);
+}
+
+Cycles
+ServerBlade::nextActivity() const
+{
+    for (const auto &core : harts_)
+        if (!core->halted())
+            return 0;
+    return std::min(eq.nextEventCycle(), nicDev->nextTxCycle());
+}
+
+void
+ServerBlade::idleTo(Cycles cycle)
+{
+    if (eq.now() >= cycle)
+        return;
+    FS_ASSERT(eq.nextEventCycle() >= cycle,
+              "blade %s skipped with an event due at %llu before %llu",
+              cfg.name.c_str(), (unsigned long long)eq.nextEventCycle(),
+              (unsigned long long)cycle);
+    eq.runUntil(cycle);
 }
 
 void

@@ -87,6 +87,11 @@ class ServerBlade : public TokenEndpoint
     void advance(Cycles window_start, Cycles window,
                  const std::vector<const TokenBatch *> &in,
                  std::vector<TokenBatch> &out) override;
+    /** 0 while any hart runs; otherwise the earlier of the next event
+     *  and the NIC's next queued TX flit. */
+    Cycles nextActivity() const override;
+    /** Run the (idle) event queue's clock to @p cycle. */
+    void idleTo(Cycles cycle) override;
 
     const BladeConfig &config() const { return cfg; }
     EventQueue &eventQueue() { return eq; }

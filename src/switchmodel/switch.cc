@@ -89,6 +89,17 @@ Switch::advance(Cycles window_start, Cycles window,
     egress(window_start, window, out);
 }
 
+Cycles
+Switch::nextActivity() const
+{
+    if (!pending.empty())
+        return 0;
+    for (const OutputPort &port : outputs)
+        if (port.active || !port.queue.empty())
+            return 0;
+    return kNoCycle;
+}
+
 void
 Switch::advanceBegin(Cycles window_start, Cycles window,
                      const std::vector<const TokenBatch *> &in,

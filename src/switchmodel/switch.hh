@@ -113,6 +113,9 @@ class Switch : public TokenEndpoint
     void advance(Cycles window_start, Cycles window,
                  const std::vector<const TokenBatch *> &in,
                  std::vector<TokenBatch> &out) override;
+    /** kNoCycle when no packet is pending, queued or being sent, else
+     *  0: an empty switch only wakes on an input flit. */
+    Cycles nextActivity() const override;
 
     // Sliced advance: serial ingress/switching prologue, one egress
     // slice per slicePorts-sized output-port group, per-slice stat

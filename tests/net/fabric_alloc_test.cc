@@ -124,6 +124,54 @@ class SteadyEndpoint : public TokenEndpoint
     uint32_t flitsPerBatch;
 };
 
+/**
+ * A two-port endpoint that only emits every @p period-th window and
+ * reports that schedule through nextActivity(), so the fabric skips it
+ * as quiet whenever nothing arrives in between.
+ */
+class PulseEndpoint : public TokenEndpoint
+{
+  public:
+    PulseEndpoint(std::string name, uint32_t period)
+        : label(std::move(name)), period(period)
+    {}
+
+    uint32_t numPorts() const override { return 2; }
+    std::string name() const override { return label; }
+    Cycles nextActivity() const override { return nextPulse; }
+
+    void
+    advance(Cycles window_start, Cycles window,
+            const std::vector<const TokenBatch *> &in,
+            std::vector<TokenBatch> &out) override
+    {
+        ++advances;
+        for (const TokenBatch *batch : in)
+            for (const Flit &f : batch->flits)
+                rxSum += batch->absCycle(f) + f.data[0];
+        if (window_start < nextPulse)
+            return;
+        nextPulse = window_start + period * window;
+        for (TokenBatch &batch : out) {
+            for (uint32_t i = 0; i < 4; ++i) {
+                Flit f;
+                f.offset = i;
+                f.size = 8;
+                f.data[0] = static_cast<uint8_t>(window_start + i);
+                batch.push(f);
+            }
+        }
+    }
+
+    uint64_t rxSum = 0;
+    uint64_t advances = 0;
+
+  private:
+    std::string label;
+    Cycles period;
+    Cycles nextPulse = 0;
+};
+
 /** No-op observer: forces the fabric onto its monitored code path. */
 class NullObserver : public FabricObserver
 {
@@ -197,6 +245,75 @@ TEST(FabricAlloc, ParallelSteadyStateAllocatesNothing)
 TEST(FabricAlloc, ParallelMonitoredSteadyStateAllocatesNothing)
 {
     expectSteadyStateZeroAllocs(true, 4);
+}
+
+void
+expectMixedQuietSteadyStateAllocatesNothing(unsigned hosts)
+{
+    // A ring of pulsing endpoints with co-prime periods (each quiet in
+    // the rounds where neither neighbour's pulse reaches it) plus a
+    // pair that never has anything to do: quiet and active rounds
+    // interleave in every steady-state pattern.
+    std::vector<std::unique_ptr<PulseEndpoint>> eps;
+    TokenFabric fabric;
+    NullObserver watcher;
+    const uint32_t periods[] = {3, 4, 5, 7};
+    for (int i = 0; i < 4; ++i) {
+        eps.push_back(std::make_unique<PulseEndpoint>(csprintf("p%d", i),
+                                                      periods[i]));
+        fabric.addEndpoint(eps.back().get());
+    }
+    for (int i = 0; i < 4; ++i)
+        fabric.connect(eps[i].get(), 1, eps[(i + 1) % 4].get(), 0, 128);
+    auto idleA = std::make_unique<PulseEndpoint>("idleA", 1u << 20);
+    auto idleB = std::make_unique<PulseEndpoint>("idleB", 1u << 20);
+    fabric.addEndpoint(idleA.get());
+    fabric.addEndpoint(idleB.get());
+    fabric.connect(idleA.get(), 0, idleB.get(), 1, 128);
+    fabric.connect(idleA.get(), 1, idleB.get(), 0, 128);
+    fabric.addObserver(&watcher);
+    fabric.finalize();
+    fabric.setParallelHosts(hosts);
+
+    // Warm-up spans several full periods of the pulse pattern
+    // (lcm 420 rounds) so every capacity has been reached.
+    fabric.run(fabric.quantum() * 1024);
+    uint64_t misses_before = fabric.batchAllocations();
+    uint64_t advances_before = 0;
+    for (auto &ep : eps)
+        advances_before += ep->advances;
+    uint64_t idle_before = idleA->advances + idleB->advances;
+
+    g_allocs.store(0);
+    g_counting.store(true);
+    fabric.run(fabric.quantum() * 420);
+    g_counting.store(false);
+
+    EXPECT_EQ(g_allocs.load(), 0u)
+        << "heap allocations in the mixed quiet/active round loop "
+           "(hosts="
+        << hosts << ")";
+    EXPECT_EQ(fabric.batchAllocations(), misses_before);
+    // Vacuity: traffic flowed, the ring was skipped in some rounds,
+    // and the idle pair (after its first pulse) in every round.
+    uint64_t advances = 0;
+    for (auto &ep : eps) {
+        EXPECT_GT(ep->rxSum, 0u);
+        advances += ep->advances;
+    }
+    EXPECT_GT(advances - advances_before, 0u);
+    EXPECT_LT(advances - advances_before, 4u * 420u);
+    EXPECT_EQ(idleA->advances + idleB->advances, idle_before);
+}
+
+TEST(FabricAlloc, MixedQuietSteadyStateAllocatesNothing)
+{
+    expectMixedQuietSteadyStateAllocatesNothing(1);
+}
+
+TEST(FabricAlloc, ParallelMixedQuietSteadyStateAllocatesNothing)
+{
+    expectMixedQuietSteadyStateAllocatesNothing(4);
 }
 
 TEST(FabricAlloc, PoolMissesAreBounded)

@@ -11,9 +11,10 @@
  * across workers moves host work around, never simulated state.
  *
  * Dispatch contract: at every pool width each advance unit (monolithic
- * advance, sliced prologue, slice) runs exactly once per round, every
- * endpoint gets a measured cost after a parallel run, and the per-
- * worker load accounting (SchedTelemetry) computes its ratio right.
+ * advance, sliced prologue, slice) of an endpoint that is not quiet
+ * runs exactly once per round, every endpoint gets a measured cost
+ * after a parallel run, and the per-worker load accounting
+ * (SchedTelemetry) computes its ratio right.
  */
 
 #include <gtest/gtest.h>
@@ -319,11 +320,11 @@ class UnitCountObserver : public FabricObserver
     }
 
     void
-    onRoundEnd(Cycles, uint64_t round) override
+    onRoundEnd(Cycles, uint64_t) override
     {
         ++rounds;
         for (const auto &r : runs)
-            if (r.load(std::memory_order_relaxed) != round + 1)
+            if (r.load(std::memory_order_relaxed) != rounds)
                 ++badRounds;
     }
 
@@ -338,13 +339,30 @@ class UnitCountObserver : public FabricObserver
 TEST(SchedFabric, EveryUnitRunsExactlyOncePerRoundAtEveryWidth)
 {
     for (unsigned width : {1u, 2u, 4u}) {
+        TwoSwitchRig rig(2);
+        Cycles quantum = rig.fabric.quantum();
+
+        // An idle switch is quiet and skipped, so keep both busy every
+        // round: n0 and n4 stream frames at each other across the
+        // trunk, back to back from cycle 0.
+        for (Cycles at = 0; at < quantum * 26; at += 16) {
+            rig.eps[0]->sendAt(at, EthFrame(MacAddr(6), MacAddr(1),
+                                            EtherType::Raw,
+                                            std::vector<uint8_t>(64, 1)));
+            rig.eps[4]->sendAt(at, EthFrame(MacAddr(2), MacAddr(5),
+                                            EtherType::Raw,
+                                            std::vector<uint8_t>(64, 5)));
+        }
+        // In round 0 the first flits are still on the wire, so both
+        // switches are quiet; count from round 1 on.
+        rig.fabric.run(quantum);
         UnitCountObserver counter;
-        TwoSwitchRig rig(2, {&counter});
+        rig.fabric.addObserver(&counter);
         rig.fabric.setParallelHosts(width);
         // 8 blades + 2 switches x (begin + 3 slices).
         ASSERT_EQ(counter.slots(), 16u);
 
-        rig.fabric.run(rig.fabric.quantum() * 25);
+        rig.fabric.run(quantum * 25);
         EXPECT_EQ(counter.rounds, 25u) << "width " << width;
         EXPECT_EQ(counter.badRounds, 0u) << "width " << width;
 
@@ -359,10 +377,11 @@ TEST(SchedFabric, EveryUnitRunsExactlyOncePerRoundAtEveryWidth)
 
 TEST(SchedFabric, ParallelRunMeasuresEveryEndpointCost)
 {
-    // No traffic: the idle blades are about as cheap as an advance
-    // gets, so their samples can read 0 ns on a coarse clock. The
-    // >= 1 ns clamp must still leave every endpoint with a positive,
-    // measured cost.
+    // No traffic: the idle switches are quiet and never run, and the
+    // scripted blades are about as cheap as an advance gets, so their
+    // samples can read 0 ns on a coarse clock. A quiet round records
+    // the >= 1 ns clamp, so every endpoint must still end up with a
+    // positive, measured cost.
     TwoSwitchRig rig(2);
     rig.fabric.setParallelHosts(2);
     rig.fabric.run(rig.fabric.quantum() * 20);
