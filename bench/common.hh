@@ -358,6 +358,21 @@ shardConnectTimeoutMsRef()
     return ms;
 }
 
+/** Parse --shard-connect-timeout milliseconds or exit(2). The shard
+ *  transport keeps the deadline in an int, so a value above INT_MAX
+ *  would wrap negative and silently drop the deadline. */
+inline unsigned
+parseConnectTimeoutKnob(const char *what, const char *text)
+{
+    unsigned ms = parseUnsignedKnob(what, text);
+    if (ms > static_cast<unsigned>(INT_MAX)) {
+        std::fprintf(stderr, "error: %s must be at most %d ms, got %u\n",
+                     what, INT_MAX, ms);
+        std::exit(2);
+    }
+    return ms;
+}
+
 /** Heartbeat cadence in fabric rounds (--heartbeat-every); 0 = no
  *  heartbeats (ClusterConfig::monitor.heartbeatEvery). */
 inline unsigned &
@@ -526,7 +541,7 @@ parseCommonFlags(int argc, char **argv,
         parseShardConnectKnob("FIRESIM_SHARD_CONNECT", env);
     if (const char *env = std::getenv("FIRESIM_SHARD_CONNECT_TIMEOUT"))
         shardConnectTimeoutMsRef() =
-            parseUnsignedKnob("FIRESIM_SHARD_CONNECT_TIMEOUT", env);
+            parseConnectTimeoutKnob("FIRESIM_SHARD_CONNECT_TIMEOUT", env);
     if (const char *env = std::getenv("FIRESIM_SHARD_TRANSPORT"))
         shardTransportRef() =
             parseTransportKnob("FIRESIM_SHARD_TRANSPORT", env);
@@ -605,7 +620,7 @@ parseCommonFlags(int argc, char **argv,
             parseShardConnectKnob(
                 "--shard-connect", arg.c_str() + connect_flag.size());
         else if (arg.rfind(ctimeout_flag, 0) == 0)
-            shardConnectTimeoutMsRef() = parseUnsignedKnob(
+            shardConnectTimeoutMsRef() = parseConnectTimeoutKnob(
                 "--shard-connect-timeout",
                 arg.c_str() + ctimeout_flag.size());
         else if (arg.rfind(transport_flag, 0) == 0)

@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <span>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -125,9 +126,8 @@ Cluster::saveSnapshot(const std::string &path)
         w.addSection(name, s.takeBytes());
     };
 
-    // The owner map this snapshot was taken under. Restores under the
-    // same plan take the verified fast path; any other plan goes
-    // through the re-homing path in loadSnapshotReShard.
+    // The owner map this snapshot was taken under. A restore under the
+    // same plan also applies and verifies the rank-local sections.
     {
         Serializer s;
         s.putU(cfg.shard.shards);
@@ -145,7 +145,7 @@ Cluster::saveSnapshot(const std::string &path)
     // "chan<N>" section appears exactly once.
     {
         Serializer s;
-        fabric_.snapshotSaveCore(s);
+        fabric_.snapshotSave(s);
         w.addSection("fabric", s.takeBytes());
     }
     for (size_t c = 0; c < fabric_.channelCount(); ++c) {
@@ -197,81 +197,177 @@ Cluster::saveSnapshot(const std::string &path)
         snapshotRankPath(path, cfg.shard.shards, cfg.shard.rank));
 }
 
+namespace
+{
+
+/**
+ * Rank 0's file of the snapshot at @p path: a @p shards-way run's own
+ * spelling first (bare @p path for one shard, `<path>.rank0`
+ * otherwise), then the other geometry's. Empty when neither exists.
+ */
+std::string
+findRankZeroFile(const std::string &path, uint64_t shards)
+{
+    std::string own = snapshotRankPath(path, shards, 0);
+    std::string other = shards > 1 ? path : path + ".rank0";
+    for (const std::string &file : {own, other})
+        if (::access(file.c_str(), F_OK) == 0)
+            return file;
+    return {};
+}
+
+/**
+ * Open rank 0's file of the snapshot at @p path (findRankZeroFile)
+ * into @p r and name it in @p file. Returns a diagnostic, empty on
+ * success.
+ */
+std::string
+openRankZero(const std::string &path, uint64_t shards, SnapshotReader &r,
+             std::string &file)
+{
+    file = findRankZeroFile(path, shards);
+    if (file.empty())
+        return csprintf("%s: no snapshot found for any geometry "
+                        "(neither %s nor %s.rank0 exists)",
+                        path.c_str(), path.c_str(), path.c_str());
+    return r.open(file);
+}
+
+/**
+ * Open every rank file of the snapshot at @p path into @p files, in
+ * rank order, and check each header against rank 0's: same topology
+ * hash as this cluster (@p topo_hash), rank k of the saved shard
+ * count, same cycle and round. The list grows only as each file
+ * opens, so a header claiming absurdly many shards fails on the first
+ * missing file instead of sizing anything by the claim.
+ */
+std::string
+openRankFiles(const std::string &path, uint64_t shards,
+              uint64_t topo_hash, std::vector<SnapshotReader> &files)
+{
+    SnapshotReader probe;
+    std::string first;
+    std::string e = openRankZero(path, shards, probe, first);
+    if (!e.empty())
+        return e;
+    uint64_t saved_shards = probe.header().shards;
+    if (saved_shards == 0)
+        return csprintf("%s: snapshot header claims 0 shards",
+                        first.c_str());
+
+    files.clear();
+    for (uint64_t k = 0; k < saved_shards; ++k) {
+        std::string file = snapshotRankPath(path, saved_shards, k);
+        if (k == 0 && file == first) {
+            files.push_back(std::move(probe));
+        } else {
+            files.emplace_back();
+            e = files.back().open(file);
+            if (!e.empty())
+                return csprintf("restore needs all %llu rank files: %s",
+                                (unsigned long long)saved_shards,
+                                e.c_str());
+        }
+        const SnapshotHeader &h = files.back().header();
+        if (h.topoHash != topo_hash)
+            return csprintf("%s: topology/timing hash %016llx does "
+                            "not match this cluster (%016llx) — a "
+                            "shard plan only changes the owner map, "
+                            "never the topology", file.c_str(),
+                            (unsigned long long)h.topoHash,
+                            (unsigned long long)topo_hash);
+        if (h.shards != saved_shards || h.rank != k)
+            return csprintf("%s: header says rank %llu of %llu, "
+                            "expected rank %llu of %llu", file.c_str(),
+                            (unsigned long long)h.rank,
+                            (unsigned long long)h.shards,
+                            (unsigned long long)k,
+                            (unsigned long long)saved_shards);
+        if (h.cycle != files[0].header().cycle ||
+            h.round != files[0].header().round)
+            return csprintf("%s: barrier mismatch (cycle %llu round "
+                            "%llu) — the per-rank files are not from "
+                            "the same snapshot", file.c_str(),
+                            (unsigned long long)h.cycle,
+                            (unsigned long long)h.round);
+    }
+    return {};
+}
+
+} // namespace
+
 std::string
 Cluster::loadSnapshot(const std::string &path)
 {
-    // Same-plan fast path: our own rank file exists and was written
-    // under the exact same owner map. Anything else — different shard
-    // count, different owners at the same count, or the other
-    // geometry's file layout — re-homes sections across rank files.
-    SnapshotReader r;
-    std::string file =
-        snapshotRankPath(path, cfg.shard.shards, cfg.shard.rank);
-    std::string e = r.open(file);
-    if (e.empty() && r.header().shards == cfg.shard.shards &&
-        r.header().rank == cfg.shard.rank) {
-        bool same_plan = true;
-        if (r.hasSection("plan")) {
-            SnapshotErrors ignored;
-            Deserializer d(r.section("plan", ignored));
-            d.getU(); // shard count, already checked via the header
-            uint64_t saved_plan = d.getU();
-            same_plan = d.ok() && saved_plan == plan_.planHash;
-        }
-        if (same_plan)
-            return loadSnapshotSamePlan(r, file);
-    }
-    return loadSnapshotReShard(path);
-}
-
-std::string
-Cluster::loadSnapshotSamePlan(SnapshotReader &r, const std::string &file)
-{
-    const SnapshotHeader &h = r.header();
-    if (h.topoHash != topoHash())
-        return csprintf("%s: topology/timing hash %016llx does not "
-                        "match this cluster (%016llx) — different "
-                        "topology or latencies",
-                        file.c_str(), (unsigned long long)h.topoHash,
-                        (unsigned long long)topoHash());
+    std::vector<SnapshotReader> files;
+    std::string e =
+        openRankFiles(path, cfg.shard.shards, topoHash(), files);
+    if (!e.empty())
+        return e;
+    const SnapshotHeader &h = files[0].header();
     if (h.cycle != fabric_.now())
         return csprintf("%s: snapshot at cycle %llu but cluster is at "
                         "%llu — replay the run to the snapshot cycle "
-                        "before restoring", file.c_str(),
+                        "before restoring", path.c_str(),
                         (unsigned long long)h.cycle,
                         (unsigned long long)fabric_.now());
 
     SnapshotErrors err;
-    auto restore = [&r, &err](const std::string &name,
-                              auto &component) {
-        std::string payload = r.section(name, err);
-        if (!err.ok())
+    // Restore @p component from whichever of @p from holds @p name.
+    auto restore = [&err](std::span<const SnapshotReader> from,
+                          const std::string &name, auto &component) {
+        for (const SnapshotReader &rd : from) {
+            if (!rd.hasSection(name))
+                continue;
+            Deserializer d(rd.section(name, err));
+            component.snapshotRestore(d, err);
+            if (d.ok() && err.ok() && !d.atEnd())
+                err.add(csprintf("%s: %zu trailing bytes after "
+                                 "restore", name.c_str(),
+                                 d.remaining()));
             return;
-        Deserializer d(std::move(payload));
-        component.snapshotRestore(d, err);
-        if (d.ok() && err.ok() && !d.atEnd())
-            err.add(csprintf("%s: %zu trailing bytes after restore",
-                             name.c_str(), d.remaining()));
+        }
+        err.add(csprintf("section '%s' missing from every rank file",
+                         name.c_str()));
     };
 
-    {
-        std::string payload = r.section("fabric", err);
-        if (err.ok()) {
-            Deserializer d(std::move(payload));
-            fabric_.snapshotRestoreCore(d, err);
-        }
-    }
+    // Every section below is keyed by a global name and lives in
+    // exactly one rank file, so any plan can pick up its own share.
+    // The fabric round state is identical across ranks (same
+    // barrier); rank 0's copy serves them all.
+    std::span<const SnapshotReader> all(files);
+    restore(all.first(1), "fabric", fabric_);
     for (size_t c = 0; c < fabric_.channelCount(); ++c)
-        restore(csprintf("chan%u", channelGlobalLink[c]),
+        restore(all, csprintf("chan%u", channelGlobalLink[c]),
                 fabric_.channelAt(c));
     for (size_t i = 0; i < switches.size(); ++i)
-        restore(csprintf("switch%u", switchGlobal[i]), *switches[i]);
+        restore(all, csprintf("switch%u", switchGlobal[i]),
+                *switches[i]);
     for (size_t i = 0; i < nodes.size(); ++i) {
-        restore(csprintf("blade%u", nodeGlobal[i]), nodes[i]->blade());
-        restore(csprintf("os%u", nodeGlobal[i]), nodes[i]->os());
-        restore(csprintf("net%u", nodeGlobal[i]), nodes[i]->net());
+        restore(all, csprintf("blade%u", nodeGlobal[i]),
+                nodes[i]->blade());
+        restore(all, csprintf("os%u", nodeGlobal[i]), nodes[i]->os());
+        restore(all, csprintf("net%u", nodeGlobal[i]), nodes[i]->net());
     }
 
+    // Rank-local sections — fault, health, autocounter, stats,
+    // transport — partition by the plan that wrote them. Under any
+    // other plan they are skipped: the deterministic replay that
+    // brought this cluster to the barrier regenerated them, and the
+    // re-shard parity tests pin that the continued run is
+    // byte-identical to an uninterrupted one.
+    bool same_plan = h.shards == cfg.shard.shards;
+    if (same_plan) {
+        SnapshotErrors ignored;
+        Deserializer d(files[0].section("plan", ignored));
+        d.getU(); // shard count, already checked via the header
+        same_plan = d.getU() == plan_.planHash && d.ok();
+    }
+    if (!same_plan)
+        return err.str();
+
+    std::span<const SnapshotReader> mine = all.subspan(cfg.shard.rank, 1);
+    const SnapshotReader &r = mine[0];
     if ((injector_ != nullptr) != r.hasSection("fault"))
         err.add(injector_
                     ? "cluster has a fault injector but the snapshot "
@@ -279,7 +375,7 @@ Cluster::loadSnapshotSamePlan(SnapshotReader &r, const std::string &file)
                     : "snapshot has a 'fault' section but no injector "
                       "is attached — call injectFaults first");
     else if (injector_)
-        restore("fault", *injector_);
+        restore(mine, "fault", *injector_);
 
     if ((monitor_ != nullptr) != r.hasSection("health"))
         err.add(monitor_
@@ -288,7 +384,7 @@ Cluster::loadSnapshotSamePlan(SnapshotReader &r, const std::string &file)
                     : "snapshot has a 'health' section but no monitor "
                       "is attached — call health() first");
     else if (monitor_)
-        restore("health", *monitor_);
+        restore(mine, "health", *monitor_);
 
     bool haveSampler = telemetry_ && telemetry_->sampler();
     if (haveSampler != r.hasSection("autocounter"))
@@ -298,7 +394,7 @@ Cluster::loadSnapshotSamePlan(SnapshotReader &r, const std::string &file)
                     : "snapshot has an 'autocounter' section but this "
                       "cluster has no sampler configured");
     else if (haveSampler)
-        restore("autocounter", *telemetry_->sampler());
+        restore(mine, "autocounter", *telemetry_->sampler());
 
     // Transport mix is advisory: a snapshot taken over shm restores
     // fine over TCP (and vice versa) because the simulation surface is
@@ -328,11 +424,8 @@ Cluster::loadSnapshotSamePlan(SnapshotReader &r, const std::string &file)
     }
 
     // Final byte-identity check: with every counter applied, the stat
-    // dump must reproduce the saved one exactly. Skipped when the
-    // wall-clock scheduler stats are enabled — those legitimately
-    // vary run to run (see TelemetryConfig::schedStats).
-    if (telemetry_ && !cfg.telemetry.schedStats &&
-        r.hasSection("stats") && err.ok()) {
+    // dump must reproduce the saved one exactly.
+    if (telemetry_ && r.hasSection("stats") && err.ok()) {
         // Both sides filtered: older files may predate the filter.
         std::string saved =
             stripHostTimingStats(r.section("stats", err));
@@ -349,115 +442,6 @@ Cluster::loadSnapshotSamePlan(SnapshotReader &r, const std::string &file)
         }
     }
 
-    return err.str();
-}
-
-std::string
-Cluster::loadSnapshotReShard(const std::string &path)
-{
-    // Discover the writing run's geometry: a 1-shard run wrote the
-    // bare path, any distributed run wrote `<path>.rank0`.
-    SnapshotReader probe;
-    uint64_t old_shards = 0;
-    {
-        std::string e0 = probe.open(path);
-        if (e0.empty()) {
-            old_shards = probe.header().shards;
-        } else {
-            std::string e1 = probe.open(path + ".rank0");
-            if (!e1.empty())
-                return csprintf("%s: no snapshot found for any "
-                                "geometry (%s; %s)", path.c_str(),
-                                e0.c_str(), e1.c_str());
-            old_shards = probe.header().shards;
-        }
-    }
-    if (old_shards == 0)
-        return csprintf("%s: snapshot header claims 0 shards",
-                        path.c_str());
-
-    // Every old rank file participates: sections for the components
-    // this rank owns may live in any of them.
-    std::vector<SnapshotReader> readers(old_shards);
-    for (uint64_t k = 0; k < old_shards; ++k) {
-        std::string file = snapshotRankPath(path, old_shards, k);
-        std::string e = readers[k].open(file);
-        if (!e.empty())
-            return csprintf("re-shard restore needs all %llu rank "
-                            "files: %s", (unsigned long long)old_shards,
-                            e.c_str());
-        const SnapshotHeader &h = readers[k].header();
-        if (h.topoHash != topoHash())
-            return csprintf("%s: topology/timing hash %016llx does "
-                            "not match this cluster (%016llx) — "
-                            "re-sharding only changes the owner map, "
-                            "never the topology", file.c_str(),
-                            (unsigned long long)h.topoHash,
-                            (unsigned long long)topoHash());
-        if (h.shards != old_shards || h.rank != k)
-            return csprintf("%s: header says rank %llu of %llu, "
-                            "expected rank %llu of %llu", file.c_str(),
-                            (unsigned long long)h.rank,
-                            (unsigned long long)h.shards,
-                            (unsigned long long)k,
-                            (unsigned long long)old_shards);
-        if (h.cycle != fabric_.now() ||
-            h.round != readers[0].header().round)
-            return csprintf("%s: barrier mismatch (cycle %llu round "
-                            "%llu) — the per-rank files are not from "
-                            "the same snapshot", file.c_str(),
-                            (unsigned long long)h.cycle,
-                            (unsigned long long)h.round);
-    }
-
-    SnapshotErrors err;
-    // Restore @p component from whichever old rank file holds @p name.
-    auto restore = [&readers, &err](const std::string &name,
-                                    auto &component) {
-        for (auto &rd : readers) {
-            if (!rd.hasSection(name))
-                continue;
-            std::string payload = rd.section(name, err);
-            if (!err.ok())
-                return;
-            Deserializer d(std::move(payload));
-            component.snapshotRestore(d, err);
-            if (d.ok() && err.ok() && !d.atEnd())
-                err.add(csprintf("%s: %zu trailing bytes after "
-                                 "restore", name.c_str(),
-                                 d.remaining()));
-            return;
-        }
-        err.add(csprintf("section '%s' missing from every rank file "
-                         "— snapshot predates re-shardable format?",
-                         name.c_str()));
-    };
-
-    // Fabric round state is identical across ranks by construction
-    // (same barrier); rank 0's copy serves them all.
-    {
-        std::string payload = readers[0].section("fabric", err);
-        if (err.ok()) {
-            Deserializer d(std::move(payload));
-            fabric_.snapshotRestoreCore(d, err);
-        }
-    }
-    for (size_t c = 0; c < fabric_.channelCount(); ++c)
-        restore(csprintf("chan%u", channelGlobalLink[c]),
-                fabric_.channelAt(c));
-    for (size_t i = 0; i < switches.size(); ++i)
-        restore(csprintf("switch%u", switchGlobal[i]), *switches[i]);
-    for (size_t i = 0; i < nodes.size(); ++i) {
-        restore(csprintf("blade%u", nodeGlobal[i]), nodes[i]->blade());
-        restore(csprintf("os%u", nodeGlobal[i]), nodes[i]->os());
-        restore(csprintf("net%u", nodeGlobal[i]), nodes[i]->net());
-    }
-
-    // Rank-local sections — fault, health, autocounter, stats,
-    // transport — partition differently under the new plan and are
-    // regenerated by the deterministic replay that brought this
-    // cluster to the barrier; the re-shard parity tests pin that the
-    // continued run is byte-identical to an uninterrupted one.
     return err.str();
 }
 
@@ -569,32 +553,19 @@ CheckpointManager::run(Cycles cycles)
 bool
 snapshotExists(const Cluster &cluster, const std::string &path)
 {
-    const ClusterConfig &cfg = cluster.config();
-    std::string file =
-        snapshotRankPath(path, cfg.shard.shards, cfg.shard.rank);
-    if (::access(file.c_str(), F_OK) == 0)
-        return true;
-    // A snapshot written under another geometry is still restorable
-    // (re-sharding): probe the two possible rank-0 spellings.
-    return ::access(path.c_str(), F_OK) == 0 ||
-           ::access((path + ".rank0").c_str(), F_OK) == 0;
+    return !findRankZeroFile(path, cluster.config().shard.shards).empty();
 }
 
 std::string
 resumeFromSnapshot(Cluster &cluster, const std::string &path)
 {
-    const ClusterConfig &cfg = cluster.config();
-    // Any readable header names the barrier cycle — our own rank file
-    // when the plan matches, else the old geometry's rank-0 file.
+    // Rank 0's header names the barrier cycle for every plan.
     SnapshotReader r;
-    std::string file =
-        snapshotRankPath(path, cfg.shard.shards, cfg.shard.rank);
-    std::string e = r.open(file);
-    if (!e.empty()) {
-        std::string e1 = r.open(path);
-        if (!e1.empty() && r.open(path + ".rank0") != "")
-            return e;
-    }
+    std::string file;
+    std::string e =
+        openRankZero(path, cluster.config().shard.shards, r, file);
+    if (!e.empty())
+        return e;
     Cycles target = r.header().cycle;
     if (cluster.now() > target)
         return csprintf("%s: snapshot at cycle %llu but the cluster "

@@ -103,17 +103,18 @@ class CheckpointManager
 std::string stripHostTimingStats(std::string json);
 
 /**
- * True when a snapshot file for this cluster's shard rank exists at
- * @p path (the same `.rank<N>` suffix rule save/resume use). Benches
- * sweeping several configurations use this to tell "no snapshot was
- * taken for this sweep point, run it fresh" apart from a resume that
- * must succeed.
+ * True when rank 0's file of a snapshot exists at @p path, under
+ * either geometry's spelling (bare @p path for a 1-shard run,
+ * `<path>.rank0` for a sharded one), so any shard plan of the same
+ * target can resume from it. Benches sweeping several configurations
+ * use this to tell "no snapshot was taken for this sweep point, run
+ * it fresh" apart from a resume that must succeed.
  */
 bool snapshotExists(const Cluster &cluster, const std::string &path);
 
 /**
- * Resume a freshly built cluster from a snapshot written by an
- * identically configured run: read the header, replay the cluster to
+ * Resume a freshly built cluster from a snapshot of the same target,
+ * written under any shard plan: read rank 0's header, replay to
  * the snapshot's cycle (deterministic replay rebuilds the coroutine
  * frames and event closures a file cannot carry), then verify + apply
  * the saved state via Cluster::loadSnapshot. The cluster must not

@@ -397,8 +397,8 @@ Cluster::setupTelemetry()
     if (transport_) {
         // Per-peer transport accounting. Byte and batch counts are a
         // pure function of the token streams, so they stay
-        // byte-identical run to run; only stallNs is wall-clock and
-        // rides the schedStats gate below.
+        // byte-identical run to run (the wall-clock stall time is
+        // deliberately not exported).
         const ShardTransport *tr = transport_.get();
         reg.registerProbe("cluster.shard.livePeers", [tr] {
             return static_cast<double>(tr->livePeers());
@@ -450,37 +450,6 @@ Cluster::setupTelemetry()
                 pp + ".transport.txRingFullWaits", [shmStat] {
                     return shmStat(&ShmLinkStats::txRingFullWaits);
                 });
-            if (cfg.telemetry.schedStats) {
-                reg.registerProbe(pp + ".stallNs", [tr, i] {
-                    return static_cast<double>(
-                        tr->peerStatsAt(i).stallNs);
-                });
-            }
-        }
-    }
-
-    if (cfg.telemetry.schedStats) {
-        // Wall-clock worker-pool counters — gated separately because
-        // they make stats.json vary run to run (see TelemetryConfig).
-        // A single-threaded fabric has no per-worker telemetry, so the
-        // probes bounds-check.
-        reg.registerProbe("cluster.fabric.sched.maxMeanBusyRatio", [fab] {
-            return fab->schedTelemetry().maxMeanBusyRatio();
-        });
-        for (unsigned w = 0; w < std::max(1u, cfg.parallelHosts); ++w) {
-            std::string wp = csprintf("cluster.fabric.sched.worker%u", w);
-            auto worker = [fab, w]() -> const SchedTelemetry::Worker * {
-                const auto &ws = fab->schedTelemetry().workers;
-                return w < ws.size() ? &ws[w] : nullptr;
-            };
-            reg.registerProbe(wp + ".busyNs", [worker] {
-                const auto *s = worker();
-                return s ? static_cast<double>(s->busyNs) : 0.0;
-            });
-            reg.registerProbe(wp + ".unitsRun", [worker] {
-                const auto *s = worker();
-                return s ? static_cast<double>(s->unitsRun) : 0.0;
-            });
         }
     }
 

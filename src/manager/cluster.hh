@@ -50,8 +50,6 @@
 namespace firesim
 {
 
-class SnapshotReader;
-
 /** Everything that makes one simulated server usable: the blade
  *  hardware, the OS, and the network stack bound together. */
 class NodeSystem
@@ -297,32 +295,21 @@ class Cluster
     std::string saveSnapshot(const std::string &path);
 
     /**
-     * Restore from a snapshot written by an identically configured
-     * cluster. The caller must first replay this cluster to the
+     * Restore from a snapshot of the same target written under any
+     * shard plan. The caller must first replay this cluster to the
      * snapshot's cycle (coroutine frames and event closures are
      * rebuilt by deterministic replay; see README "Checkpoint &
-     * recovery") — data-plane state is then applied and control-plane
-     * digests verified, so any divergence from the saved run is
+     * recovery"). Every saved rank file is opened, and each fabric,
+     * channel and component section this rank owns is applied from
+     * whichever file holds it, its control-plane digests verified.
+     * When the saved plan is this plan, the rank-local fault, health
+     * and autocounter sections are restored too and the stat dump is
+     * checked byte for byte. Any divergence from the saved run is
      * reported, never silently continued from. Returns "" on success.
      */
     std::string loadSnapshot(const std::string &path);
 
   private:
-    /** loadSnapshot, same owner map: full verification including the
-     *  stats byte-identity check. @p r is the already-opened file. */
-    std::string loadSnapshotSamePlan(SnapshotReader &r,
-                                     const std::string &file);
-
-    /**
-     * loadSnapshot under a *different* ShardPlan than the one that
-     * wrote @p path: discover the old geometry on disk, open every old
-     * rank file, and re-home each local component / channel section
-     * from whichever file holds it. Rank-local sections (fault,
-     * health, autocounter, stats, transport) are regenerated by the
-     * deterministic replay that preceded this call and are skipped.
-     */
-    std::string loadSnapshotReShard(const std::string &path);
-
     /**
      * Sharded build (config().shard.shards > 1), after the fabric is
      * finalized: open the transport over @p links (TCP rendezvous

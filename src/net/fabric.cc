@@ -951,57 +951,10 @@ TokenFabric::snapshotSave(Serializer &s) const
     s.putU(quant);
     s.putU(curCycle);
     s.putU(roundCount);
-    s.putU(batchCount);
-    s.putU(endpoints.size());
-    s.putU(channels.size());
-    for (const auto &chan : channels)
-        chan->snapshotSave(s);
 }
 
 void
 TokenFabric::snapshotRestore(Deserializer &d, SnapshotErrors &err)
-{
-    if (!finalized) {
-        err.add("fabric restore requires finalize()");
-        return;
-    }
-    expectEq(err, "fabric quantum", (uint64_t)quant, d.getU());
-    Cycles cycle = d.getU();
-    uint64_t rounds = d.getU();
-    uint64_t batches = d.getU();
-    expectEq(err, "fabric endpoint count", (uint64_t)endpoints.size(),
-             d.getU());
-    uint64_t chanCount = d.getU();
-    if (chanCount != channels.size()) {
-        err.add(csprintf("fabric channel count: live %zu != snapshot "
-                         "%llu — different topology or shard plan",
-                         channels.size(), (unsigned long long)chanCount));
-        return;
-    }
-    for (auto &chan : channels)
-        chan->snapshotRestore(d, err);
-    if (!d.ok()) {
-        err.add(d.error());
-        return;
-    }
-    curCycle = cycle;
-    roundCount = rounds;
-    batchCount = batches;
-}
-
-void
-TokenFabric::snapshotSaveCore(Serializer &s) const
-{
-    FS_ASSERT(finalized, "fabric snapshot requires finalize()");
-    FS_ASSERT(curCycle % quant == 0,
-              "fabric snapshot must happen at a round boundary");
-    s.putU(quant);
-    s.putU(curCycle);
-    s.putU(roundCount);
-}
-
-void
-TokenFabric::snapshotRestoreCore(Deserializer &d, SnapshotErrors &err)
 {
     if (!finalized) {
         err.add("fabric restore requires finalize()");

@@ -709,25 +709,16 @@ class TokenFabric
     void setStepOrder(std::vector<size_t> order);
 
     /**
-     * Serialize the fabric's round state: cycle/round/batch counters,
-     * the quantum (verified on restore), and every channel's
-     * mid-flight contents in construction order. Requires finalize()
-     * and a round boundary (now() a multiple of quantum). Restore
-     * verifies the wiring shape and rebuilds every channel.
+     * Serialize the fabric's round state: the quantum (verified on
+     * restore), cycle and round count. Requires finalize() and a round
+     * boundary (now() a multiple of quantum). The channel rings and the
+     * host-local batch counter are not included: snapshots
+     * (manager/checkpoint) store every channel under its own global
+     * link name, so a restore under any ShardPlan re-homes channels
+     * individually.
      */
     void snapshotSave(Serializer &s) const;
     void snapshotRestore(Deserializer &d, SnapshotErrors &err);
-
-    /**
-     * Plan-independent subset of snapshotSave: the round state
-     * (quantum, cycle, round count) *without* the channel list or the
-     * host-local batch counter. Re-shardable snapshots
-     * (manager/checkpoint) store this as the "fabric" section and
-     * every channel under its own global link name, so a restore under
-     * a different ShardPlan can re-home channels individually.
-     */
-    void snapshotSaveCore(Serializer &s) const;
-    void snapshotRestoreCore(Deserializer &d, SnapshotErrors &err);
 
   private:
     struct Link

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "base/logging.hh"
-#include "base/thread_pool.hh"
 #include "base/varint.hh"
 #include "snapshot/serial.hh"
 
@@ -16,28 +15,6 @@ namespace
 
 constexpr char kMagic[4] = {'F', 'S', 'I', 'T'}; //!< FireSim Instr Trace
 constexpr uint32_t kVersion = 1;
-
-/** Encode ring records [lo, hi) (logical indices from the ring head)
- *  against the given predecessor. The shared body of the serial and
- *  parallel encoders — one definition, so their bytes cannot drift. */
-void
-encodeRecordRange(const std::vector<TraceRecord> &ring, size_t head,
-                  size_t lo, size_t hi, uint64_t prev_pc,
-                  uint64_t prev_cycle, std::string &out)
-{
-    for (size_t i = lo; i < hi; ++i) {
-        const TraceRecord &r = ring[(head + i) % ring.size()];
-        putVarint(out, zigzag(static_cast<int64_t>(r.pc - prev_pc)));
-        putVarint(out, r.cycle - prev_cycle);
-        out.push_back(static_cast<char>(r.cls));
-        prev_pc = r.pc;
-        prev_cycle = r.cycle;
-    }
-}
-
-/** Below this many records the fork/join overhead of the parallel
- *  encoder outweighs the encode itself. */
-constexpr size_t kParallelEncodeMin = 4096;
 
 } // namespace
 
@@ -85,53 +62,16 @@ InstructionTrace::encodeCompressed() const
     out.append(kMagic, sizeof(kMagic));
     putVarint(out, kVersion);
     putVarint(out, count);
-    encodeRecordRange(ring, head, 0, count, 0, 0, out);
-    return out;
-}
-
-std::string
-InstructionTrace::encodeCompressed(ThreadPool *pool) const
-{
-    if (!pool || pool->width() <= 1 || count < kParallelEncodeMin)
-        return encodeCompressed();
-
-    // One chunk per pool thread; chunk c's delta base is record
-    // lo - 1, read raw from the ring, so concatenating the chunks
-    // reproduces the serial byte stream exactly.
-    size_t chunks = pool->width();
-    size_t per = (count + chunks - 1) / chunks;
-    std::vector<std::string> parts(chunks);
-    // Worst case is ~2x varint growth at a chunk boundary; 6 bytes per
-    // record is the typical loopy-code footprint, so this mostly
-    // avoids regrowth without overcommitting.
-    const size_t reserve_per_record = 6;
-    pool->parallelFor(chunks, [&](size_t c) {
-        size_t lo = c * per;
-        size_t hi = std::min(count, lo + per);
-        if (lo >= hi)
-            return;
-        uint64_t prev_pc = 0;
-        uint64_t prev_cycle = 0;
-        if (lo > 0) {
-            const TraceRecord &p = ring[(head + lo - 1) % ring.size()];
-            prev_pc = p.pc;
-            prev_cycle = p.cycle;
-        }
-        parts[c].reserve((hi - lo) * reserve_per_record);
-        encodeRecordRange(ring, head, lo, hi, prev_pc, prev_cycle,
-                          parts[c]);
-    });
-
-    std::string out;
-    size_t total = sizeof(kMagic) + 16;
-    for (const std::string &part : parts)
-        total += part.size();
-    out.reserve(total);
-    out.append(kMagic, sizeof(kMagic));
-    putVarint(out, kVersion);
-    putVarint(out, count);
-    for (const std::string &part : parts)
-        out += part;
+    uint64_t prev_pc = 0;
+    uint64_t prev_cycle = 0;
+    for (size_t i = 0; i < count; ++i) {
+        const TraceRecord &r = ring[(head + i) % ring.size()];
+        putVarint(out, zigzag(static_cast<int64_t>(r.pc - prev_pc)));
+        putVarint(out, r.cycle - prev_cycle);
+        out.push_back(static_cast<char>(r.cls));
+        prev_pc = r.pc;
+        prev_cycle = r.cycle;
+    }
     return out;
 }
 
@@ -166,10 +106,9 @@ InstructionTrace::decodeCompressed(const std::string &bytes)
 }
 
 bool
-InstructionTrace::writeCompressed(const std::string &path,
-                                  ThreadPool *pool) const
+InstructionTrace::writeCompressed(const std::string &path) const
 {
-    std::string bytes = encodeCompressed(pool);
+    std::string bytes = encodeCompressed();
     std::FILE *f = std::fopen(path.c_str(), "wb");
     if (!f) {
         warn("cannot open '%s' for the instruction trace",

@@ -33,16 +33,6 @@ struct TelemetryConfig
     Cycles samplePeriod = 0;
     /** Emit Chrome trace spans for rounds / switch ticks / blade ticks. */
     bool hostProfile = false;
-    /**
-     * Export the fabric worker pool's per-worker busy/units counters
-     * and its max/mean busy ratio (TokenFabric::schedTelemetry) into
-     * the stat registry under cluster.fabric.sched.*. Off by default
-     * and deliberately separate from `enabled`: these numbers are host
-     * wall-clock, so turning them on makes stats.json vary run to run
-     * — everything else in the registry stays byte-identical across
-     * worker counts.
-     */
-    bool schedStats = false;
     /** Span cap for the trace sink (long runs stay bounded). */
     size_t maxTraceEvents = 1 << 20;
     /**

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdlib>
 
 #include "bench/common.hh"
+#include "manager/cluster.hh"
 
 namespace firesim
 {
@@ -139,6 +141,28 @@ TEST(KnobParse, ShardConnectRoundTrips)
     parseShardConnectKnob("--shard-connect", "10.1.2.3:9000");
     EXPECT_EQ(bench::shardConnectHostRef(), "10.1.2.3");
     EXPECT_EQ(bench::shardBasePortRef(), 9000u);
+}
+
+TEST(KnobParseDeath, ShardConnectTimeoutMustFitAnInt)
+{
+    // The transport keeps the deadline in an int: anything above
+    // INT_MAX used to wrap negative and silently drop the deadline.
+    EXPECT_EXIT(parseOneFlag("--shard-connect-timeout=2147483648"),
+                ::testing::ExitedWithCode(2), "--shard-connect-timeout");
+    EXPECT_EXIT(parseOneFlag("--shard-connect-timeout=4294967295"),
+                ::testing::ExitedWithCode(2), "at most 2147483647");
+    EXPECT_EXIT(
+        {
+            setenv("FIRESIM_SHARD_CONNECT_TIMEOUT", "3000000000", 1);
+            parseCommonFlags(0, nullptr);
+        },
+        ::testing::ExitedWithCode(2), "FIRESIM_SHARD_CONNECT_TIMEOUT");
+
+    parseOneFlag("--shard-connect-timeout=2147483647");
+    ClusterConfig cc;
+    bench::applyClusterFlags(cc);
+    EXPECT_EQ(cc.shard.connectTimeoutMs, INT_MAX);
+    parseOneFlag("--shard-connect-timeout=0");
 }
 
 TEST(KnobParse, ShardTransportRoundTrips)

@@ -212,6 +212,107 @@ TEST(ClusterCheckpoint, CorruptedSnapshotIsRejectedWithDiagnostics)
     std::remove(path.c_str());
 }
 
+TEST(ClusterCheckpoint, DivergedReplayIsRefused)
+{
+    std::string path = tempSnap("fsnp_diverged.snap");
+    Counter saved_replies;
+    {
+        Cluster saver(topologies::singleTor(4), testConfig());
+        saver.telemetry()->registry().registerCounter(
+            "cluster.app.replies", saved_replies);
+        spawnPinger(saver.node(0), 1);
+        saver.run(80000);
+        saved_replies.set(7);
+        ASSERT_EQ(saver.saveSnapshot(path), "");
+    }
+
+    // A replay that pings node2 instead of node1 is caught by the
+    // event-queue digests before the stats check runs.
+    {
+        Cluster other(topologies::singleTor(4), testConfig());
+        spawnPinger(other.node(0), 2);
+        std::string e = resumeFromSnapshot(other, path);
+        EXPECT_NE(e.find("digest"), std::string::npos) << e;
+    }
+
+    // A stat whose owner no section carries (an app keeps its counters
+    // in its coroutine frame; here the test owns one) is rebuilt only
+    // by the replay, so only the stats byte-identity check sees it
+    // diverge.
+    {
+        Counter replies;
+        Cluster other(topologies::singleTor(4), testConfig());
+        other.telemetry()->registry().registerCounter(
+            "cluster.app.replies", replies);
+        spawnPinger(other.node(0), 1);
+        replies.set(8);
+        std::string e = resumeFromSnapshot(other, path);
+        EXPECT_NE(e.find("stats dump diverges"), std::string::npos) << e;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(ClusterCheckpoint, FaultSectionMustMatchTheInjector)
+{
+    // A 'fault' section needs an injector to restore into, and an
+    // injector needs a 'fault' section to restore from.
+    std::string with = tempSnap("fsnp_fault_with.snap");
+    std::string without = tempSnap("fsnp_fault_without.snap");
+    {
+        Cluster saver(topologies::singleTor(2), testConfig());
+        saver.injectFaults(FaultPlan{});
+        saver.run(40000);
+        ASSERT_EQ(saver.saveSnapshot(with), "");
+    }
+    {
+        Cluster saver(topologies::singleTor(2), testConfig());
+        saver.run(40000);
+        ASSERT_EQ(saver.saveSnapshot(without), "");
+    }
+
+    {
+        Cluster clu(topologies::singleTor(2), testConfig());
+        std::string e = resumeFromSnapshot(clu, with);
+        EXPECT_NE(e.find("snapshot has a 'fault' section but no "
+                         "injector"),
+                  std::string::npos)
+            << e;
+    }
+    {
+        Cluster clu(topologies::singleTor(2), testConfig());
+        clu.injectFaults(FaultPlan{});
+        std::string e = resumeFromSnapshot(clu, without);
+        EXPECT_NE(e.find("cluster has a fault injector but the "
+                         "snapshot has no 'fault' section"),
+                  std::string::npos)
+            << e;
+    }
+    std::remove(with.c_str());
+    std::remove(without.c_str());
+}
+
+TEST(ClusterCheckpoint, HugeShardCountInHeaderIsADiagnostic)
+{
+    // The shard count comes straight from the file; a valid-CRC
+    // header claiming 2^40 shards must name the missing rank file,
+    // not size anything by the claim.
+    std::string path = tempSnap("fsnp_huge_shards.snap");
+    Cluster clu(topologies::singleTor(2), testConfig());
+    SnapshotHeader hdr;
+    hdr.topoHash = clu.topoHash();
+    hdr.shards = 1ull << 40;
+    hdr.rank = 0;
+    SnapshotWriter w(hdr);
+    ASSERT_EQ(w.writeFile(path), "");
+
+    std::string e = clu.loadSnapshot(path);
+    EXPECT_NE(e.find(path + ".rank0"), std::string::npos) << e;
+    EXPECT_TRUE(snapshotExists(clu, path));
+    e = resumeFromSnapshot(clu, path);
+    EXPECT_NE(e.find(path + ".rank0"), std::string::npos) << e;
+    std::remove(path.c_str());
+}
+
 TEST(ClusterCheckpoint, PeriodicAndSignalDrivenCheckpoints)
 {
     constexpr Cycles kSpan = 40000; // 100 rounds at quantum 400

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <memory>
 
-#include "base/thread_pool.hh"
 #include "riscv/assembler.hh"
 #include "riscv/core.hh"
 #include "telemetry/instr_trace.hh"
@@ -81,11 +80,10 @@ TEST(InstructionTraceDeath, CorruptStreamPanics)
     EXPECT_DEATH(InstructionTrace::decodeCompressed("junk"), "");
 }
 
-TEST(InstructionTrace, ParallelEncodeIsByteIdentical)
+TEST(InstructionTrace, WrappedRingRoundTrip)
 {
-    // A trace large enough to clear the parallel-encode threshold, with
-    // a wrapped ring (the chunker must honor head offsets) and varied
-    // deltas (chunk-boundary predecessors matter).
+    // A wrapped ring (the encoder must honor the head offset) with
+    // varied deltas, including backward branches.
     InstructionTrace trace(8192);
     uint64_t pc = 0x80000000;
     for (uint64_t i = 0; i < 10000; ++i) { // 10000 > 8192: ring wraps
@@ -94,33 +92,12 @@ TEST(InstructionTrace, ParallelEncodeIsByteIdentical)
     }
     ASSERT_EQ(trace.size(), 8192u);
 
-    std::string serial = trace.encodeCompressed();
-    for (unsigned width : {2u, 3u, 8u}) {
-        ThreadPool pool(width);
-        EXPECT_EQ(trace.encodeCompressed(&pool), serial)
-            << "width " << width;
-    }
-    // Null pool and width-1 pool take the serial path.
-    EXPECT_EQ(trace.encodeCompressed(nullptr), serial);
-    ThreadPool one(1);
-    EXPECT_EQ(trace.encodeCompressed(&one), serial);
-
-    // The bytes still decode to the retained records.
     std::vector<TraceRecord> decoded =
-        InstructionTrace::decodeCompressed(serial);
+        InstructionTrace::decodeCompressed(trace.encodeCompressed());
     std::vector<TraceRecord> original = trace.drain();
     ASSERT_EQ(decoded.size(), original.size());
     for (size_t i = 0; i < decoded.size(); ++i)
         ASSERT_TRUE(decoded[i] == original[i]) << "record " << i;
-}
-
-TEST(InstructionTrace, SmallTraceFallsBackToSerialEncoder)
-{
-    InstructionTrace trace(64);
-    for (int i = 0; i < 10; ++i)
-        trace.record(0x1000 + 4 * i, OpClass::IntAlu, i + 1);
-    ThreadPool pool(4);
-    EXPECT_EQ(trace.encodeCompressed(&pool), trace.encodeCompressed());
 }
 
 TEST(InstructionTrace, FileDumpRoundTrip)
