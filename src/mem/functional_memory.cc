@@ -22,8 +22,7 @@ FunctionalMemory::pageFor(uint64_t addr, bool allocate) const
     }
     if (!allocate)
         return nullptr;
-    auto mem = std::make_unique<uint8_t[]>(kPageBytes);
-    std::memset(mem.get(), 0, kPageBytes);
+    auto mem = std::make_unique<uint8_t[]>(kPageBytes); // zero-filled
     uint8_t *raw = mem.get();
     pages.emplace(page, std::move(mem));
     lastPage = page;
@@ -111,7 +110,7 @@ FunctionalMemory::snapshotRestore(Deserializer &d, SnapshotErrors &err)
     std::unordered_map<uint64_t, std::unique_ptr<uint8_t[]>> restored;
     for (uint64_t i = 0; i < count && d.ok(); ++i) {
         uint64_t idx = d.getU();
-        auto page = std::make_unique<uint8_t[]>(kPageBytes);
+        auto page = std::make_unique_for_overwrite<uint8_t[]>(kPageBytes);
         if (!d.getBytesInto(page.get(), kPageBytes))
             break;
         restored.emplace(idx, std::move(page));

@@ -137,43 +137,77 @@ TokenChannel::TokenChannel(Cycles latency, Cycles quantum)
     FS_ASSERT(quantum > 0 && latency % quantum == 0,
               "quantum %llu must divide latency %llu",
               (unsigned long long)quantum, (unsigned long long)latency);
-    // Ring sized for the invariant occupancy plus slack for the one
-    // transient extra batch a push-before-pop round shape can create.
-    slots.resize(static_cast<size_t>(latency / quantum) + 2);
-    // Seed the link with latency/quantum batches of empty tokens: the
-    // first `latency` arrival cycles carry nothing because nothing was
-    // transmitted before target cycle 0.
-    for (Cycles at = 0; at < latency; at += quantum) {
-        enqueue(TokenBatch(at, static_cast<uint32_t>(quantum)));
-        nextPushStart = at + quantum;
+    // The first `latency` arrival cycles carry nothing because nothing
+    // was transmitted before target cycle 0: latency/quantum implied
+    // empty batches.
+    pushAt = latency;
+    popAt = 0;
+}
+
+std::vector<Flit>
+TokenChannel::takeStorage()
+{
+    if (spare.empty()) {
+        ++misses;
+        return {};
     }
-    nextPopStart = 0;
+    std::vector<Flit> flits = std::move(spare.back());
+    spare.pop_back();
+    flits.clear();
+    return flits;
 }
 
 void
-TokenChannel::enqueue(TokenBatch &&batch)
+TokenChannel::returnStorage(std::vector<Flit> flits)
+{
+    // A link never has more than latency/quantum batches in flight, so
+    // one more spare than that covers every refill; beyond it (a remote
+    // RX link, whose producer never takes) the storage is freed.
+    if (spare.size() <= expectedDepth())
+        spare.push_back(std::move(flits));
+}
+
+void
+TokenChannel::enqueue(Stored &&entry)
 {
     if (used == slots.size()) {
-        // Only reachable through pushRaw() abuse (fault tests stuffing
-        // rogue batches); the normal protocol never exceeds the seeded
-        // occupancy.
-        std::vector<TokenBatch> bigger(slots.size() * 2);
+        // The first stored batch sizes the ring for the most a healthy
+        // stream holds (latency/quantum, plus slack for the transient
+        // extra a push-before-pop round shape can create); only
+        // pushRaw() abuse (fault tests stuffing rogue batches) grows it
+        // further. A link that never carries a flit never allocates.
+        std::vector<Stored> bigger(
+            std::max(slots.size() * 2, expectedDepth() + 2));
         for (size_t i = 0; i < used; ++i)
             bigger[i] = std::move(slots[(head + i) % slots.size()]);
         slots = std::move(bigger);
         head = 0;
     }
-    slots[(head + used) % slots.size()] = std::move(batch);
+    slots[(head + used) % slots.size()] = std::move(entry);
     ++used;
 }
 
 TokenBatch
-TokenChannel::dequeue()
+TokenChannel::take()
 {
-    TokenBatch batch = std::move(slots[head]);
-    head = (head + 1) % slots.size();
-    --used;
-    return batch;
+    // A stored batch due at or before the pop window goes first. A
+    // pushRaw() batch does not occupy a window of the stream, so it
+    // leaves the pop cursor where it is.
+    if (used && slotOf(slots[head]) <= popAt) {
+        Stored &e = slots[head];
+        bool raw = e.rawSlot != kNoCycle;
+        TokenBatch batch = std::move(e.batch);
+        head = (head + 1) % slots.size();
+        --used;
+        if (raw)
+            --raws;
+        else
+            popAt += quant;
+        return batch;
+    }
+    TokenBatch empty(popAt, static_cast<uint32_t>(quant));
+    popAt += quant;
+    return empty;
 }
 
 TokenChannel::PushError
@@ -181,27 +215,29 @@ TokenChannel::accepts(const TokenBatch &batch) const
 {
     if (batch.len != quant)
         return PushError::BadLength;
-    if (batch.start + lat != nextPushStart)
+    if (batch.start + lat != pushAt)
         return PushError::NonContiguous;
     return PushError::Ok;
 }
 
-void
-TokenChannel::push(TokenBatch batch)
+bool
+TokenChannel::push(TokenBatch &&batch)
 {
     FS_ASSERT(batch.len == quant,
               "batch len %u != channel quantum %llu on %s", batch.len,
               (unsigned long long)quant, lbl.c_str());
-    // Restamp from production time to arrival time: a token produced at
-    // cycle M is consumed at M + latency.
-    batch.start += lat;
-    FS_ASSERT(batch.start == nextPushStart,
+    // A token produced at cycle M is consumed at M + latency.
+    FS_ASSERT(batch.start + lat == pushAt,
               "non-contiguous batch push on %s: got %llu expected %llu",
-              lbl.c_str(), (unsigned long long)batch.start,
-              (unsigned long long)nextPushStart);
-    nextPushStart += quant;
+              lbl.c_str(), (unsigned long long)(batch.start + lat),
+              (unsigned long long)pushAt);
+    pushAt += quant;
+    if (batch.flits.empty())
+        return false;
     flitCount += batch.flits.size();
-    enqueue(std::move(batch));
+    batch.start += lat;
+    enqueue(Stored{std::move(batch), kNoCycle});
+    return true;
 }
 
 void
@@ -209,29 +245,45 @@ TokenChannel::pushRaw(TokenBatch batch)
 {
     batch.start += lat;
     flitCount += batch.flits.size();
-    enqueue(std::move(batch));
+    enqueue(Stored{std::move(batch), pushAt});
+    ++raws;
 }
 
 TokenBatch
 TokenChannel::pop()
 {
-    FS_ASSERT(used > 0, "pop from empty token channel %s", lbl.c_str());
-    TokenBatch batch = dequeue();
-    FS_ASSERT(batch.start == nextPopStart,
+    FS_ASSERT(ready(), "pop from empty token channel %s", lbl.c_str());
+    Cycles expected = popAt;
+    TokenBatch batch = take();
+    FS_ASSERT(batch.start == expected,
               "non-contiguous batch pop on %s: got %llu expected %llu",
               lbl.c_str(), (unsigned long long)batch.start,
-              (unsigned long long)nextPopStart);
-    nextPopStart += quant;
+              (unsigned long long)expected);
     return batch;
 }
 
 TokenBatch
 TokenChannel::popUnchecked()
 {
-    FS_ASSERT(used > 0, "pop from empty token channel %s", lbl.c_str());
-    TokenBatch batch = dequeue();
-    nextPopStart = batch.start + quant;
-    return batch;
+    FS_ASSERT(ready(), "pop from empty token channel %s", lbl.c_str());
+    return take();
+}
+
+bool
+TokenChannel::idleAt(Cycles at) const
+{
+    return popAt == at && pushAt > at && nextArrival() > at;
+}
+
+void
+TokenChannel::catchUp(Cycles round)
+{
+    FS_ASSERT(nextArrival() >= round,
+              "token channel %s skipped a batch due at %llu before %llu",
+              lbl.c_str(), (unsigned long long)nextArrival(),
+              (unsigned long long)round);
+    popAt = std::max(popAt, round);
+    pushAt = std::max(pushAt, round + lat);
 }
 
 void
@@ -248,6 +300,7 @@ TokenFabric::addEndpoint(TokenEndpoint *endpoint)
     state.out.assign(endpoint->numPorts(), nullptr);
     state.inChan.assign(endpoint->numPorts(), 0);
     state.outChan.assign(endpoint->numPorts(), 0);
+    state.outPeer.assign(endpoint->numPorts(), 0);
     state.remoteOut.assign(endpoint->numPorts(), -1);
     endpoints.push_back(std::move(state));
 }
@@ -411,6 +464,9 @@ TokenFabric::finalize()
         }
     }
 
+    auto indexOf = [this](const EndpointState &state) {
+        return static_cast<uint32_t>(&state - endpoints.data());
+    };
     for (const auto &link : pendingLinks) {
         EndpointState &sa = stateFor(link.a);
         EndpointState &sb = stateFor(link.b);
@@ -425,10 +481,12 @@ TokenFabric::finalize()
         auto ab_idx = static_cast<uint32_t>(channels.size());
         sa.out[link.portA] = ab.get();
         sa.outChan[link.portA] = ab_idx;
+        sa.outPeer[link.portA] = indexOf(sb);
         sb.in[link.portB] = ab.get();
         sb.inChan[link.portB] = ab_idx;
         sb.out[link.portB] = ba.get();
         sb.outChan[link.portB] = ab_idx + 1;
+        sb.outPeer[link.portB] = indexOf(sa);
         sa.in[link.portA] = ba.get();
         sa.inChan[link.portA] = ab_idx + 1;
         channels.push_back(std::move(ab));
@@ -453,6 +511,7 @@ TokenFabric::finalize()
         channels.push_back(std::move(rx));
     }
 
+    batchesPerRound = 0;
     for (auto &state : endpoints) {
         for (uint32_t p = 0; p < state.in.size(); ++p) {
             bool tx_ok = state.out[p] || state.remoteOut[p] >= 0;
@@ -461,14 +520,19 @@ TokenFabric::finalize()
                       state.endpoint->name().c_str());
         }
         // Round buffers are sized once here so the round loop never
-        // grows them.
+        // grows them; inPtrs aliases `popped` for good.
         size_t ports = state.in.size();
-        state.popped.reserve(ports);
-        state.inPtrs.reserve(ports);
-        state.outs.reserve(ports);
+        state.popped.assign(ports, TokenBatch());
+        state.outs.assign(ports, TokenBatch());
+        state.inPtrs.clear();
+        for (const TokenBatch &batch : state.popped)
+            state.inPtrs.push_back(&batch);
+        batchesPerRound += ports;
     }
 
     wake.assign(endpoints.size(), 0);
+    settled.assign(endpoints.size(), 0);
+    visit.reserve(endpoints.size());
     if (stepOrder.empty()) {
         stepOrder.resize(endpoints.size());
         std::iota(stepOrder.begin(), stepOrder.end(), 0);
@@ -545,6 +609,15 @@ TokenFabric::txChannelOf(size_t endpoint_idx, uint32_t port) const
     return static_cast<int>(state.outChan[port]);
 }
 
+uint64_t
+TokenFabric::batchAllocations() const
+{
+    uint64_t n = 0;
+    for (const auto &chan : channels)
+        n += chan->storageMisses();
+    return n;
+}
+
 double
 TokenFabric::endpointCostNs(size_t idx) const
 {
@@ -568,14 +641,21 @@ TokenFabric::reportAnomaly(FabricObserver::Anomaly kind,
     return recovered;
 }
 
+Cycles
+TokenFabric::wakeOf(size_t idx) const
+{
+    Cycles at = endpoints[idx].endpoint->nextActivity();
+    for (const TokenChannel *chan : endpoints[idx].in)
+        at = std::min(at, chan->nextArrival());
+    return at;
+}
+
 bool
 TokenFabric::inputsQuiet(const EndpointState &state) const
 {
-    for (const TokenChannel *chan : state.in) {
-        const TokenBatch *head = chan->front();
-        if (!head || head->start != curCycle || !head->flits.empty())
+    for (const TokenChannel *chan : state.in)
+        if (!chan->idleAt(curCycle))
             return false;
-    }
     return true;
 }
 
@@ -588,34 +668,35 @@ TokenFabric::prepareEndpoint(size_t idx)
     state.down = false;
     for (FabricObserver *obs : observers)
         state.down |= obs->endpointDown(idx, curCycle);
-    // A down endpoint's clock stops where its last round left it, so
-    // one that was skipped as quiet catches up to this round first.
-    if (state.quiet && state.down)
-        state.endpoint->idleTo(curCycle);
+    if (state.down) {
+        // A down endpoint's clock stops where its last round left it,
+        // so one that was skipped catches up to this round first.
+        if (settled[idx] < curCycle)
+            state.endpoint->idleTo(curCycle);
+        settled[idx] = curCycle + quant;
+    }
 
     // Quiet: nothing arrives and nothing is due before the window
     // ends. Its inputs stay in their channels until commit forwards
-    // them as its outputs.
+    // them as its outputs. Only a visit forced by everyRound can be
+    // quiet: any other visited endpoint is due.
     state.quiet = !state.down && wake[idx] >= curCycle + quant &&
                   inputsQuiet(state);
+    state.runs = !state.down && !state.quiet;
     if (state.quiet)
         return;
 
-    // Recycle the input storage of this endpoint's last run: these flit
-    // vectors arrived through the channels from whoever produced them,
-    // and feed the pool that the output batches below draw from. A
-    // quiet endpoint keeps them until it runs again and takes them
-    // straight back, so each link keeps the storage its own traffic
-    // grew; pooling them while it sleeps would hand small vectors to
-    // busy links to regrow and leave grown ones idle.
-    for (TokenBatch &spent : state.popped)
-        pool.recycle(std::move(spent.flits));
-    state.popped.clear();
-
     for (uint32_t p = 0; p < ports; ++p) {
+        TokenChannel *chan = state.in[p];
+        // Rounds in which this endpoint was skipped carried nothing.
+        // When every round visits everyone nothing is skipped, and a
+        // lagging cursor (a remote batch not yet delivered, a rogue
+        // batch) is an anomaly to report below, not to paper over.
+        if (!everyRound)
+            chan->catchUp(curCycle);
+        TokenBatch &slot = state.popped[p];
         // An anomaly an observer recovers is repaired; one nobody
         // recovers (always, when no observer is attached) aborts.
-        TokenChannel *chan = state.in[p];
         if (!chan->ready()) {
             TokenBatch missing(chan->nextPopCycle(),
                                static_cast<uint32_t>(quant));
@@ -625,37 +706,32 @@ TokenFabric::prepareEndpoint(size_t idx)
                       state.endpoint->name().c_str(), p,
                       chan->label().c_str());
             }
-            state.popped.emplace_back(curCycle,
-                                      static_cast<uint32_t>(quant));
+            slot = TokenBatch(curCycle, static_cast<uint32_t>(quant));
             continue;
         }
-        TokenBatch batch = chan->popUnchecked();
-        if (batch.start != curCycle) {
+        slot = chan->popUnchecked();
+        if (slot.start != curCycle) {
             if (!reportAnomaly(FabricObserver::Anomaly::StaleBatch, idx, p,
-                               state.inChan[p], batch)) {
+                               state.inChan[p], slot)) {
                 panic("non-contiguous batch pop on %s: got %llu "
                       "expected %llu",
                       chan->label().c_str(),
-                      (unsigned long long)batch.start,
+                      (unsigned long long)slot.start,
                       (unsigned long long)curCycle);
             }
             // Recover by restamping the payload into the current window
             // (a real lossy transport delivers late tokens late).
-            batch.start = curCycle;
-            batch.len = static_cast<uint32_t>(quant);
+            slot.start = curCycle;
+            slot.len = static_cast<uint32_t>(quant);
         }
-        state.popped.push_back(std::move(batch));
     }
 
-    state.inPtrs.clear();
-    for (uint32_t p = 0; p < ports; ++p)
-        state.inPtrs.push_back(&state.popped[p]);
-
-    state.outs.clear();
-    for (uint32_t p = 0; p < ports; ++p) {
-        TokenBatch out(curCycle, static_cast<uint32_t>(quant));
-        out.flits = pool.take();
-        state.outs.push_back(std::move(out));
+    // Output batches keep their storage from round to round; commit
+    // refills it from the link only when a batch leaves with it.
+    for (TokenBatch &out : state.outs) {
+        out.start = curCycle;
+        out.len = static_cast<uint32_t>(quant);
+        out.flits.clear();
     }
 
     if (state.down) {
@@ -707,7 +783,7 @@ void
 TokenFabric::advanceEndpoint(size_t idx)
 {
     EndpointState &state = endpoints[idx];
-    if (state.down || state.quiet)
+    if (!state.runs)
         return;
     if (state.slices > 1) {
         // Single-threaded sliced execution: same phases, same observer
@@ -724,8 +800,7 @@ TokenFabric::advanceEndpoint(size_t idx)
 void
 TokenFabric::execUnit(const AdvanceUnit &unit)
 {
-    const EndpointState &state = endpoints[unit.endpoint];
-    if (state.down || state.quiet)
+    if (!endpoints[unit.endpoint].runs)
         return;
     if (unit.slice == AdvanceUnit::kWholeEndpoint)
         advanceMonolithic(unit.endpoint);
@@ -747,7 +822,7 @@ TokenFabric::dispatchUnits(std::vector<AdvanceUnit> &units)
         size_t width = workers->width();
         uint64_t busy = 0, run = 0;
         for (size_t i = w; i < units.size(); i += width) {
-            if (endpoints[units[i].endpoint].quiet) {
+            if (!endpoints[units[i].endpoint].runs) {
                 // Costs nothing this round; the clamp records 1 ns, so
                 // a mostly idle endpoint reads as cheap.
                 units[i].recordCost(0);
@@ -773,29 +848,39 @@ TokenFabric::commitEndpoint(size_t idx)
     auto ports = static_cast<uint32_t>(state.in.size());
     if (state.quiet) {
         // Pass-through: each port emits the empty batch it was handed,
-        // so a quiet round touches neither the endpoint nor the pool.
-        for (uint32_t p = 0; p < ports; ++p)
-            transmit(idx, p, state.in[p]->popUnchecked());
+        // so a quiet round touches neither the endpoint nor its
+        // storage.
+        for (uint32_t p = 0; p < ports; ++p) {
+            TokenBatch batch = state.in[p]->popUnchecked();
+            transmit(idx, p, batch);
+        }
         return;
     }
-    if (!state.down) {
+    if (state.runs) {
         // Sliced endpoints fold their per-slice scratch into shared
         // state here, on the driving thread in step order, before any
         // of their batches are observed or pushed.
         if (state.slices > 1)
             state.endpoint->advanceMerge(curCycle, quant, state.outs);
-        wake[idx] = state.endpoint->nextActivity();
+        settled[idx] = curCycle + quant;
+        state.runs = false;
     }
-    for (uint32_t p = 0; p < ports; ++p)
-        transmit(idx, p, std::move(state.outs[p]));
+    for (uint32_t p = 0; p < ports; ++p) {
+        // The input is spent: storage that arrived over the link goes
+        // back to it (an implied empty batch has none).
+        if (state.popped[p].flits.capacity() != 0)
+            state.in[p]->returnStorage(std::move(state.popped[p].flits));
+        if (transmit(idx, p, state.outs[p]))
+            state.outs[p].flits = state.out[p]->takeStorage();
+    }
+    wake[idx] = wakeOf(idx);
 }
 
-void
-TokenFabric::transmit(size_t idx, uint32_t p, TokenBatch &&batch)
+bool
+TokenFabric::transmit(size_t idx, uint32_t p, TokenBatch &batch)
 {
     EndpointState &state = endpoints[idx];
     TokenChannel *chan = state.out[p];
-    ++batchCount;
     if (!chan) {
         // Remote TX: no local channel — serialize the batch to the
         // peer shard instead. Still on the driving thread in step
@@ -812,9 +897,12 @@ TokenFabric::transmit(size_t idx, uint32_t p, TokenBatch &&batch)
                   (long long)state.remoteOut[p]);
         remoteHook->onTxBatch(static_cast<uint32_t>(state.remoteOut[p]),
                               batch);
-        pool.recycle(std::move(batch.flits));
-        return;
+        return false; // the hook copies; the storage stays with the port
     }
+    // Rounds in which this endpoint was skipped produced nothing (see
+    // prepareEndpoint for why only then).
+    if (!everyRound)
+        chan->catchUp(curCycle);
     for (FabricObserver *obs : observers)
         obs->onTransmit(state.outChan[p], batch);
     TokenChannel::PushError err = chan->accepts(batch);
@@ -825,13 +913,19 @@ TokenFabric::transmit(size_t idx, uint32_t p, TokenBatch &&batch)
         if (reportAnomaly(kind, idx, p, state.outChan[p], batch)) {
             // Substitute a well-formed empty batch to keep the
             // channel's token stream intact.
-            pool.recycle(std::move(batch.flits));
-            batch = TokenBatch(curCycle, static_cast<uint32_t>(quant));
+            batch.start = curCycle;
+            batch.len = static_cast<uint32_t>(quant);
+            batch.flits.clear();
         }
         // else: fall through to push(), which aborts with the channel
         // label.
     }
-    chan->push(std::move(batch));
+    Cycles arrival = batch.start + chan->latency();
+    if (!chan->push(std::move(batch)))
+        return false;
+    uint32_t peer = state.outPeer[p];
+    wake[peer] = std::min(wake[peer], arrival);
+    return true;
 }
 
 void
@@ -841,12 +935,36 @@ TokenFabric::run(Cycles cycles)
     FS_ASSERT(pendingRemote.empty() || remoteHook,
               "remote links configured but no RemoteRoundHook attached");
     running = true;
-    Cycles target = curCycle + cycles;
+    everyRound = !observers.empty() || remoteHook;
+    // Rounds are whole: the run ends at the first round boundary at or
+    // after the target.
+    const Cycles end = curCycle + (cycles + quant - 1) / quant * quant;
     // Work may have been scheduled on any endpoint since the last run.
     for (size_t i = 0; i < endpoints.size(); ++i)
-        wake[i] = endpoints[i].endpoint->nextActivity();
+        wake[i] = wakeOf(i);
 
-    while (curCycle < target) {
+    while (curCycle < end) {
+        const Cycles roundEnd = curCycle + quant;
+        Cycles next = kNoCycle;
+        visit.clear();
+        for (size_t idx : stepOrder) {
+            if (everyRound || wake[idx] < roundEnd)
+                visit.push_back(idx);
+            else
+                next = std::min(next, wake[idx]);
+        }
+        if (visit.empty()) {
+            // Nothing is due before the round holding the earliest
+            // wake: account for the rounds up to it without moving a
+            // batch. next >= roundEnd, so at least this round goes.
+            Cycles to = std::min(end, next - next % quant);
+            uint64_t skipped = (to - curCycle) / quant;
+            roundCount += skipped;
+            batchCount += skipped * batchesPerRound;
+            curCycle = to;
+            continue;
+        }
+
         for (FabricObserver *obs : observers)
             obs->onRoundStart(curCycle, roundCount);
 
@@ -854,7 +972,7 @@ TokenFabric::run(Cycles cycles)
         // pops, output-batch prep. Latency seeding guarantees every
         // channel already holds this round's input batch, so all pops
         // complete before any push and channels need no locks.
-        for (size_t idx : stepOrder)
+        for (size_t idx : visit)
             prepareEndpoint(idx);
 
         // Phase 2: the actual endpoint work, in parallel when a pool
@@ -868,15 +986,16 @@ TokenFabric::run(Cycles cycles)
             dispatchUnits(mainUnits);
             schedTel.endRound();
         } else {
-            for (size_t idx : stepOrder)
+            for (size_t idx : visit)
                 advanceEndpoint(idx);
         }
 
         // Phase 3 (driving thread, step order): transmit observers and
         // channel pushes — all shared counters accumulate here, in an
         // order independent of which worker ran what.
-        for (size_t idx : stepOrder)
+        for (size_t idx : visit)
             commitEndpoint(idx);
+        batchCount += batchesPerRound;
 
         for (FabricObserver *obs : observers)
             obs->onRoundEnd(curCycle, roundCount);
@@ -888,17 +1007,19 @@ TokenFabric::run(Cycles cycles)
         if (remoteHook)
             remoteHook->onRoundComplete(roundCount, curCycle);
 
-        curCycle += quant;
+        curCycle = roundEnd;
         ++roundCount;
     }
-    // Endpoint clocks are observable between runs: bring the ones the
-    // last round skipped up to date.
-    for (EndpointState &state : endpoints) {
-        if (state.quiet) {
-            state.endpoint->idleTo(curCycle);
-            state.quiet = false;
-        }
+    // Endpoint clocks and channel cursors are observable between runs:
+    // bring the ones the last rounds skipped up to date.
+    for (size_t i = 0; i < endpoints.size(); ++i) {
+        if (settled[i] < curCycle)
+            endpoints[i].endpoint->idleTo(curCycle);
+        settled[i] = curCycle;
     }
+    if (!everyRound)
+        for (auto &chan : channels)
+            chan->catchUp(curCycle);
     running = false;
 }
 
@@ -909,11 +1030,27 @@ TokenChannel::snapshotSave(Serializer &s) const
 {
     s.putU(lat);
     s.putU(quant);
-    s.putU(nextPushStart);
-    s.putU(nextPopStart);
-    s.putU(used);
-    for (size_t i = 0; i < used; ++i)
-        saveBatch(s, slots[(head + i) % slots.size()]);
+    s.putU(pushAt);
+    s.putU(popAt);
+    // Every in-flight batch in pop order, the implied empty ones
+    // included: the same walk as take(), without consuming anything.
+    size_t n = depth();
+    s.putU(n);
+    Cycles window = popAt;
+    size_t next = 0;
+    for (size_t k = 0; k < n; ++k) {
+        const Stored *e =
+            next < used ? &slots[(head + next) % slots.size()] : nullptr;
+        if (e && slotOf(*e) <= window) {
+            saveBatch(s, e->batch);
+            ++next;
+            if (e->rawSlot == kNoCycle)
+                window += quant;
+        } else {
+            saveBatch(s, TokenBatch(window, static_cast<uint32_t>(quant)));
+            window += quant;
+        }
+    }
 }
 
 void
@@ -925,21 +1062,44 @@ TokenChannel::snapshotRestore(Deserializer &d, SnapshotErrors &err)
     Cycles pushStart = d.getU();
     Cycles popStart = d.getU();
     uint64_t n = d.getU();
-    std::vector<TokenBatch> batches;
-    for (uint64_t i = 0; i < n && d.ok(); ++i)
-        batches.push_back(restoreBatch(d));
+    // Re-walk the saved stream: a batch for the next window takes that
+    // window (and is stored only if it carries flits); any other batch
+    // was pushed raw and keeps its place in front of that window.
+    std::vector<Stored> stored;
+    Cycles window = popStart;
+    for (uint64_t i = 0; i < n && d.ok(); ++i) {
+        TokenBatch batch = restoreBatch(d);
+        if (batch.start == window && batch.len == quant) {
+            window += quant;
+            if (!batch.flits.empty())
+                stored.push_back(Stored{std::move(batch), kNoCycle});
+        } else {
+            stored.push_back(Stored{std::move(batch), window});
+        }
+    }
     if (!d.ok()) {
         err.add("channel " + lbl + ": " + d.error());
         return;
     }
-    nextPushStart = pushStart;
-    nextPopStart = popStart;
+    if (window != pushStart) {
+        err.add(csprintf("channel %s: in-flight batches end at %llu, push "
+                         "cursor at %llu",
+                         lbl.c_str(), (unsigned long long)window,
+                         (unsigned long long)pushStart));
+        return;
+    }
+    pushAt = pushStart;
+    popAt = popStart;
+    raws = 0;
+    for (const Stored &e : stored)
+        if (e.rawSlot != kNoCycle)
+            ++raws;
     head = 0;
-    used = batches.size();
+    used = stored.size();
     if (slots.size() < used)
         slots.resize(used + 2);
     for (size_t i = 0; i < slots.size(); ++i)
-        slots[i] = i < used ? std::move(batches[i]) : TokenBatch{};
+        slots[i] = i < used ? std::move(stored[i]) : Stored{};
 }
 
 void
@@ -969,6 +1129,7 @@ TokenFabric::snapshotRestore(Deserializer &d, SnapshotErrors &err)
     }
     curCycle = cycle;
     roundCount = rounds;
+    std::fill(settled.begin(), settled.end(), curCycle);
 }
 
 } // namespace firesim

@@ -4,8 +4,9 @@
  *
  * Endpoints (server blades and switches) expose numbered link ports.
  * Every port pair is connected by two unidirectional TokenChannels.
- * A channel of latency N always carries N in-flight tokens: a flit
- * issued by one endpoint at cycle M is consumed by the other at M + N.
+ * A channel of latency N always carries N cycles of in-flight tokens: a
+ * flit issued by one endpoint at cycle M is consumed by the other at
+ * M + N.
  *
  * Host-transport batching: tokens move in batches of `quantum` cycles.
  * FireSim sets the batch size to the link latency; when a topology mixes
@@ -13,20 +14,44 @@
  * channels with proportionally more in-flight batches, which preserves
  * per-flit delivery cycles exactly.
  *
- * Determinism: each endpoint consumes exactly one batch per input port
- * and produces one per output port each round, so channel occupancy is
- * invariant and results are independent of the order in which endpoints
- * are stepped (property-tested in tests/net).
+ * Determinism: in every round an endpoint consumes the batch for the
+ * round's window on each input port and produces one on each output
+ * port, so results are independent of the order in which endpoints are
+ * stepped (property-tested in tests/net).
  *
- * Parallel round execution: that same step-order independence is the
- * license to advance endpoints concurrently within a round — the
- * decomposition the paper uses to put one blade per FPGA. Each round is
- * executed in three phases:
+ * Activity-driven rounds: most endpoints have nothing to do in most
+ * rounds, and stepping one that has no flit arriving and nothing of its
+ * own due before the round ends would only move empty batches and its
+ * clock. The fabric therefore keeps one wake cycle per endpoint: the
+ * earlier of its nextActivity() and the arrival of the first flit-
+ * carrying batch stored in its input channels (a push of such a batch
+ * lowers its consumer's wake). A round visits only the endpoints whose
+ * wake falls inside it; the others' empty batches are implied by the
+ * channel cursors (TokenChannel) and never moved. When no endpoint is
+ * due at all, the fabric jumps straight to the round holding the
+ * earliest wake, bounded by run()'s target, and counts the skipped
+ * rounds and the batches they would have moved in round() and
+ * batchesMoved(). A skipped endpoint's clock is brought up to date with
+ * idleTo() when it becomes observable: when run() returns, or when an
+ * observer takes it down. Wakes are re-read at run() start, so work
+ * scheduled between run() calls is seen.
+ *
+ * With a FabricObserver or a RemoteRoundHook attached, every endpoint
+ * counts as due every round, so observers see every endpointDown()
+ * question and every onTransmit() batch, and the remote barrier sees
+ * every round. Such a visited endpoint is still not advanced when it is
+ * *quiet* (not down, inputs empty, wake at or after the round's end):
+ * the fabric forwards its empty inputs as its outputs instead.
+ *
+ * Parallel round execution: the step-order independence is the license
+ * to advance endpoints concurrently within a round — the decomposition
+ * the paper uses to put one blade per FPGA. Each round runs in three
+ * phases over the endpoints it visits:
  *
  *   1. prepare (driving thread, step order): per endpoint, query the
- *      observers' down-verdict, then decide whether the endpoint is
- *      *quiet* (below). A quiet endpoint is left alone; any other pops
- *      one input batch per port and is handed recycled output batches.
+ *      observers' down-verdict and the quiet verdict; any endpoint
+ *      that runs takes its input batch per port and has its output
+ *      batches reset.
  *   2. advance (worker pool, barrier at the end): endpoint->advance()
  *      calls run concurrently. Every channel already holds this round's
  *      input batch before the round starts (latency seeding), so
@@ -35,29 +60,18 @@
  *      this phase into AdvanceUnits (a serial begin, N concurrent
  *      slices, a driving-thread merge — see TokenEndpoint), and worker
  *      w of a W-wide pool runs units w, w+W, w+2W, ... Placement is
- *      pure host policy and never affects simulated state. Quiet
- *      endpoints are not called.
+ *      pure host policy and never affects simulated state.
  *   3. commit (driving thread, step order): per endpoint, merge any
  *      slice scratch, then run transmit observers and push the
- *      produced batches into their channels. A quiet endpoint's
- *      output on each port is its (empty) input batch from that port,
- *      popped and pushed through the same transmit sequence.
- *
- * Quiet endpoints (the idle fast path): an endpoint is quiet for a
- * round when it is not down, every input batch is empty and current,
- * and its nextActivity() lies at or after the round's end. Advancing
- * it would emit empty batches and change nothing but its clock, so the
- * fabric forwards the empty batches itself and calls idleTo() once the
- * endpoint's clock becomes observable: when it goes down, or when run()
- * returns. The cached wake cycle is refreshed at run() start and after
- * each real advance, so work scheduled between run() calls is seen.
+ *      produced batches into their channels.
  *
  * Because phases 1 and 3 run on the driving thread in step order, every
  * observer callback except onAdvanceStart/onAdvanceEnd fires in a
  * deterministic sequence that is independent of the worker count, and
  * all shared counters are accumulated there — simulation results,
  * stats dumps, AutoCounter samples, and fault diagnostics are
- * byte-identical between 1 worker and N workers.
+ * byte-identical between 1 worker and N workers, and between visiting
+ * only due endpoints and visiting all of them.
  *
  * Fault modeling and health monitoring: FabricObservers (src/fault) may
  * attach to the fabric to take endpoints down, mutate in-flight batches,
@@ -132,7 +146,16 @@ struct SchedTelemetry
     double maxMeanBusyRatio() const;
 };
 
-/** One direction of a simulated link. */
+/**
+ * One direction of a simulated link.
+ *
+ * The channel stores only the batches that carry flits. Two cursors
+ * stand for the rest: the arrival window of the next push (producer
+ * side) and of the next pop (consumer side). Every window between them
+ * that no stored batch covers holds an implied empty batch, so a
+ * healthy link always has latency/quantum batches in flight at a round
+ * boundary (depth()) while an idle one costs no storage and no work.
+ */
 class TokenChannel
 {
   public:
@@ -164,23 +187,26 @@ class TokenChannel
     /** Check whether push(batch) would satisfy the token protocol. */
     PushError accepts(const TokenBatch &batch) const;
 
-    /** Producer side: enqueue the next batch. */
-    void push(TokenBatch batch);
+    /**
+     * Producer side: enqueue the next batch. A batch that carries flits
+     * is restamped to its arrival window and moved in; an empty one only
+     * advances the push cursor and is left with the caller, storage
+     * included. Returns true when the batch was moved in.
+     */
+    bool push(TokenBatch &&batch);
 
     /**
      * Testing / fault-injection hook: enqueue a batch with the usual
      * production-to-arrival restamp but *without* the contiguity check
-     * and without touching the producer-side bookkeeping, deliberately
-     * corrupting the token stream so consumer-side error handling can
-     * be exercised.
+     * and without touching the push cursor, deliberately corrupting the
+     * token stream so consumer-side error handling can be exercised.
+     * The batch is stored even when empty and pops ahead of every
+     * batch pushed after it.
      */
     void pushRaw(TokenBatch batch);
 
     /** Consumer side: true when a batch is ready. */
-    bool ready() const { return used > 0; }
-
-    /** Consumer side: the batch the next pop would return, or null. */
-    const TokenBatch *front() const { return used ? &slots[head] : nullptr; }
+    bool ready() const { return depth() > 0; }
 
     /** Consumer side: dequeue the next batch. */
     TokenBatch pop();
@@ -192,11 +218,23 @@ class TokenChannel
      */
     TokenBatch popUnchecked();
 
-    /** Arrival cycle the next pop() is expected to carry. */
-    Cycles nextPopCycle() const { return nextPopStart; }
+    /** Arrival cycle of the window the next pop is expected to carry. */
+    Cycles nextPopCycle() const { return popAt; }
 
-    /** Number of buffered batches. */
-    size_t depth() const { return used; }
+    /** True when the next pop yields an empty batch for window @p at. */
+    bool idleAt(Cycles at) const;
+
+    /** Arrival cycle of the first stored batch, or kNoCycle. */
+    Cycles nextArrival() const
+    {
+        return used ? slotOf(slots[head]) : kNoCycle;
+    }
+
+    /** Number of batches in flight, stored or implied. */
+    size_t depth() const
+    {
+        return static_cast<size_t>((pushAt - popAt) / quant) + raws;
+    }
 
     /** Total flits pushed through this channel since construction —
      *  the deployment mapper's per-link traffic signal
@@ -212,33 +250,74 @@ class TokenChannel
     }
 
     /**
+     * Flit storage bound to this link. The consumer hands back the
+     * storage of a batch it is done with, and the producer takes it for
+     * the next batch it fills, so each link keeps the capacity its own
+     * traffic grew and the steady-state round loop allocates nothing.
+     * At most latency/quantum + 1 spares are kept. takeStorage() with
+     * none spare returns an empty vector and counts a miss.
+     */
+    std::vector<Flit> takeStorage();
+    void returnStorage(std::vector<Flit> flits);
+    /** takeStorage() calls that found no spare. */
+    uint64_t storageMisses() const { return misses; }
+
+    /**
+     * Account for rounds in which the fabric stepped neither end of the
+     * link: every window produced before round @p round carried nothing,
+     * and the consumer has taken every window before @p round. Neither
+     * cursor moves back. No stored batch may arrive before @p round.
+     */
+    void catchUp(Cycles round);
+
+    /**
      * Serialize the channel's full mid-flight state: latency/quantum
-     * (verified on restore), both stream cursors, and every buffered
-     * batch's flits. Restore rebuilds the ring byte-identically, so a
+     * (verified on restore), both stream cursors, and every in-flight
+     * batch, the implied empty ones written out like stored ones.
+     * Restore stores only the batches that carry flits again, so a
      * restored channel pops the exact batches the saved one would.
      */
     void snapshotSave(Serializer &s) const;
     void snapshotRestore(Deserializer &d, SnapshotErrors &err);
 
   private:
-    /** Append to the ring, growing only if it is full (never in the
-     *  steady state: the ring is sized for latency/quantum + slack). */
-    void enqueue(TokenBatch &&batch);
-    TokenBatch dequeue();
+    struct Stored
+    {
+        TokenBatch batch;
+        /** For a pushRaw() batch, the pop window it stands in front
+         *  of; kNoCycle for a batch stored by push(). */
+        Cycles rawSlot = kNoCycle;
+    };
+
+    /** The pop window a stored batch is due at. */
+    static Cycles slotOf(const Stored &e)
+    {
+        return e.rawSlot != kNoCycle ? e.rawSlot : e.batch.start;
+    }
+
+    /** Append to the ring, growing only if it is full (never for a
+     *  healthy stream: the ring is sized for latency/quantum + slack). */
+    void enqueue(Stored &&entry);
+    /** The next batch in stream order, stored or implied; requires
+     *  ready(). */
+    TokenBatch take();
 
     Cycles lat;
     Cycles quant;
     uint64_t flitCount = 0; //!< flits pushed (host-side accounting)
     std::string lbl = "unnamed-channel";
-    Cycles nextPushStart = 0; //!< producer-side batch start bookkeeping
-    Cycles nextPopStart = 0;  //!< consumer-side expected batch start
-    // Fixed-capacity ring instead of a deque: channel occupancy is
-    // invariant in the steady state, so a ring sized at construction
-    // never reallocates — one piece of the hot loop's zero-allocation
-    // guarantee (tests/net/fabric_alloc_test).
-    std::vector<TokenBatch> slots;
-    size_t head = 0; //!< index of the oldest batch
-    size_t used = 0; //!< batches in the ring
+    Cycles pushAt = 0; //!< arrival window of the next push
+    Cycles popAt = 0;  //!< arrival window of the next pop
+    size_t raws = 0;   //!< pushRaw() batches still stored
+    // Fixed-capacity ring of the stored batches instead of a deque: at
+    // most latency/quantum of them are in flight, so a ring sized at
+    // the first store never reallocates — one piece of the hot loop's
+    // zero-allocation guarantee (tests/net/fabric_alloc_test).
+    std::vector<Stored> slots;
+    size_t head = 0; //!< index of the oldest stored batch
+    size_t used = 0; //!< stored batches in the ring
+    std::vector<std::vector<Flit>> spare; //!< see takeStorage()
+    uint64_t misses = 0;
 };
 
 /**
@@ -253,13 +332,15 @@ class TokenChannel
  * channels, so an endpoint that only touches its own state (every
  * endpoint in this code base) needs no synchronization.
  *
- * Idle skipping: the fabric does not call an endpoint whose inputs are
- * empty and whose nextActivity() is at or after the window end (see
- * the file comment). The default nextActivity() of 0 means "always
- * busy". A subclass that keeps private pending work — anything that
- * would put a flit on a link or change its state without an input
- * flit — must override nextActivity() to report it, or make it return
- * 0 while such work exists.
+ * Activity: the fabric calls advance() only in rounds where a flit
+ * arrives on some port or nextActivity() falls before the window end
+ * (see the file comment). In every other round the endpoint is treated
+ * as having emitted empty batches, and the next advance() may start
+ * many windows after the last one ended. The default nextActivity() of
+ * 0 means "always busy". A subclass that keeps private pending work —
+ * anything that would put a flit on a link or change its state without
+ * an input flit — must override nextActivity() to report it, or make
+ * it return 0 while such work exists.
  */
 class TokenEndpoint
 {
@@ -288,7 +369,8 @@ class TokenEndpoint
      * Earliest cycle at which this endpoint has self-started work: an
      * event due, a flit queued for transmit. kNoCycle means nothing is
      * pending. Read on the driving thread after each advance and at
-     * the start of run(). The default, 0, means "always busy", so the
+     * the start of run(), so it must not change while the endpoint is
+     * not advanced. The default, 0, means "always busy", so the
      * endpoint is never skipped.
      */
     virtual Cycles nextActivity() const { return 0; }
@@ -297,7 +379,8 @@ class TokenEndpoint
      * Move the clock of an endpoint the fabric skipped forward to
      * @p cycle, as if it had advanced through empty windows. Called on
      * the driving thread only, and only with nothing due before
-     * @p cycle. The default does nothing.
+     * @p cycle: when run() returns, and before an observer takes the
+     * endpoint down. The default does nothing.
      */
     virtual void idleTo(Cycles cycle) { (void)cycle; }
 
@@ -351,9 +434,11 @@ class TokenEndpoint
  *   -> skip notification for down endpoints -> advance brackets
  *   -> per port: onTransmit -> [output anomalies] -> onRoundEnd
  * Observers fire in registration order; endpointDown answers are OR-ed.
- * endpointDown is asked of every endpoint every round and onTransmit
- * fires for every batch, quiet endpoints included (TokenFabric file
- * comment); only the advance and slice brackets are skipped for them.
+ * An attached observer makes the fabric visit every endpoint every
+ * round, so endpointDown is asked of every endpoint every round and
+ * onTransmit fires for every batch, quiet endpoints included
+ * (TokenFabric file comment); only the advance and slice brackets are
+ * skipped for them.
  *
  * Threading contract: every callback fires on the fabric's driving
  * thread, in an order independent of the worker count, EXCEPT
@@ -639,21 +724,24 @@ class TokenFabric
     /** Current target cycle (all endpoints have advanced this far). */
     Cycles now() const { return curCycle; }
 
-    /** Number of completed rounds. */
+    /** Number of completed rounds, skipped ones included. */
     uint64_t round() const { return roundCount; }
 
     /** Round quantum in cycles (min link latency). */
     Cycles quantum() const { return quant; }
 
-    /** Total batches moved across all channels so far (host traffic). */
+    /** Total batches moved across all channels so far (host traffic):
+     *  one per output port per round, implied empty batches and
+     *  skipped rounds included. */
     uint64_t batchesMoved() const { return batchCount; }
 
     /**
-     * Flit-storage allocations the round loop could not serve from its
-     * recycling pool. Grows only while batch capacities are warming up;
-     * flat in the steady state (asserted in tests/net).
+     * Flit-storage allocations the round loop could not serve from the
+     * links' spare storage (TokenChannel::takeStorage). Grows only
+     * while batch capacities are warming up; flat in the steady state
+     * (asserted in tests/net).
      */
-    uint64_t batchAllocations() const { return pool.misses; }
+    uint64_t batchAllocations() const;
 
     /**
      * Attach a fault-injection / health-monitoring observer. Callbacks
@@ -695,10 +783,10 @@ class TokenFabric
      * per-unit EWMA summed over the endpoint's advance units (begin +
      * slices or the monolithic advance). 0 until measured — units are
      * timed only with parallelHosts >= 2, and a pool width change
-     * starts the measurement over. A round in which the endpoint is
-     * quiet counts as a 1 ns sample. Host-side accounting for the
-     * deployment mapper (manager/deploy); never part of the
-     * deterministic simulation surface.
+     * starts the measurement over. A dispatched round in which the
+     * endpoint is not advanced counts as a 1 ns sample. Host-side
+     * accounting for the deployment mapper (manager/deploy); never
+     * part of the deterministic simulation surface.
      */
     double endpointCostNs(size_t idx) const;
 
@@ -711,7 +799,7 @@ class TokenFabric
     /**
      * Serialize the fabric's round state: the quantum (verified on
      * restore), cycle and round count. Requires finalize() and a round
-     * boundary (now() a multiple of quantum). The channel rings and the
+     * boundary (now() a multiple of quantum). The channel contents and the
      * host-local batch counter are not included: snapshots
      * (manager/checkpoint) store every channel under its own global
      * link name, so a restore under any ShardPlan re-homes channels
@@ -751,12 +839,17 @@ class TokenFabric
         // so observer callbacks never search for a channel.
         std::vector<uint32_t> inChan;
         std::vector<uint32_t> outChan;
+        // Endpoint index consuming out[i] (local ports only), whose
+        // wake a flit-carrying push lowers.
+        std::vector<uint32_t> outPeer;
 
-        // Round-persistent buffers. `popped` holds this round's input
-        // batches, `inPtrs` aliases them for the advance() signature,
-        // `outs` the batches the endpoint fills. Only the worker
-        // stepping this endpoint touches them during the advance
-        // phase; the driving thread refills them between phases.
+        // Round-persistent buffers, sized once at finalize(). `popped`
+        // holds the round's input batches, `inPtrs` aliases them for
+        // the advance() signature, `outs` the batches the endpoint
+        // fills.
+        // Only the worker stepping this endpoint touches them during
+        // the advance phase; the driving thread refills them between
+        // phases.
         std::vector<TokenBatch> popped;
         std::vector<const TokenBatch *> inPtrs;
         std::vector<TokenBatch> outs;
@@ -766,9 +859,11 @@ class TokenFabric
         std::vector<int64_t> remoteOut;
         uint32_t slices = 1; //!< cached advanceSliceCount()
         bool down = false;   //!< observers parked it this round
-        /** Skipped this round as quiet; its clock lags until it next
-         *  runs or idleTo() catches it up. */
+        /** Visited this round but not advanced: its empty inputs are
+         *  forwarded as its outputs. */
         bool quiet = false;
+        /** Advanced this round (visited, neither down nor quiet). */
+        bool runs = false;
     };
 
     /**
@@ -796,34 +891,6 @@ class TokenFabric
         void recordCost(uint64_t ns);
     };
 
-    /**
-     * Free list of flit storage. Batches circulate producer -> channel
-     * -> consumer; the consumer's spent input vectors are recycled into
-     * the next round's output batches, so the steady-state round loop
-     * allocates nothing. Touched only from the driving thread (prepare
-     * and commit phases).
-     */
-    struct FlitPool
-    {
-        std::vector<std::vector<Flit>> free;
-        uint64_t misses = 0;
-
-        std::vector<Flit>
-        take()
-        {
-            if (free.empty()) {
-                ++misses;
-                return {};
-            }
-            std::vector<Flit> v = std::move(free.back());
-            free.pop_back();
-            v.clear();
-            return v;
-        }
-
-        void recycle(std::vector<Flit> &&v) { free.push_back(std::move(v)); }
-    };
-
     EndpointState &stateFor(TokenEndpoint *endpoint);
 
     /**
@@ -835,9 +902,13 @@ class TokenFabric
                        uint32_t port, size_t chan_idx,
                        const TokenBatch &batch);
 
+    /** Endpoint @p idx's wake cycle: its nextActivity() or the arrival
+     *  of the first flit stored in its inputs, whichever is earlier. */
+    Cycles wakeOf(size_t idx) const;
+
     // ---- The three round phases (see the file comment) ---------------
     /** Driving thread: down-verdict, quiet verdict, input pops,
-     *  output-batch prep. */
+     *  output-batch reset. */
     void prepareEndpoint(size_t idx);
     /** True when every input of @p state holds an empty batch for the
      *  current window. */
@@ -847,15 +918,16 @@ class TokenFabric
     /** Driving thread: slice merge, transmit observers, pushes. */
     void commitEndpoint(size_t idx);
     /** Commit one produced batch on port @p port of endpoint @p idx:
-     *  transmit observers and push, or the remote hook. */
-    void transmit(size_t idx, uint32_t port, TokenBatch &&batch);
+     *  transmit observers and push, or the remote hook. Returns true
+     *  when the batch's flit storage moved into its channel. */
+    bool transmit(size_t idx, uint32_t port, TokenBatch &batch);
 
     // Phase-2 building blocks shared by the single-threaded path and
     // the pool's unit bodies (any worker thread).
     void advanceMonolithic(size_t idx);
     void advanceBeginPhase(size_t idx);
     void advanceSlicePhase(size_t idx, uint32_t slice);
-    /** Run one unit (skipped when its endpoint is down or quiet). */
+    /** Run one unit (skipped when its endpoint does not run). */
     void execUnit(const AdvanceUnit &unit);
     /** Parallel phase 2 for one pass: worker w runs units w, w+W, ...,
      *  timing each into its cost and the worker's busy time. */
@@ -869,14 +941,25 @@ class TokenFabric
     std::vector<std::pair<uint32_t, TokenChannel *>> remoteRx;
     RemoteRoundHook *remoteHook = nullptr;
     std::vector<EndpointState> endpoints;
-    /** Per endpoint: its last reported nextActivity(). Dense, so the
-     *  prepare phase's quiet test stays in cache. */
+    /** Per endpoint: its wake cycle (wakeOf), kept current by every
+     *  commit and every flit-carrying push. Dense, so the per-round
+     *  scan for due endpoints stays in cache. */
     std::vector<Cycles> wake;
+    /** Per endpoint: the cycle up to which its clock is accounted for
+     *  (advanced, down, or moved with idleTo). Lags while the endpoint
+     *  is skipped. */
+    std::vector<Cycles> settled;
+    /** The endpoints visited this round, in step order. */
+    std::vector<size_t> visit;
+    /** With observers or a remote hook attached, every endpoint is
+     *  visited every round (set at run() start). */
+    bool everyRound = false;
+    /** Batches one round moves: one per output port. */
+    uint64_t batchesPerRound = 0;
     std::vector<std::unique_ptr<TokenChannel>> channels;
     size_t firstRemoteRx = 0; //!< remote RX channels follow local pairs
     std::vector<FabricObserver *> observers;
     std::vector<size_t> stepOrder;
-    FlitPool pool;
     std::unique_ptr<ThreadPool> workers; //!< null when single-threaded
     unsigned parHosts = 1;
     // Advance-unit lists (finalize). The begin pass holds sliced

@@ -57,7 +57,7 @@ ServerBlade::advance(Cycles window_start, Cycles window,
     // In normal cluster operation the event queue is driven only by
     // advance() and idleTo(), so eq.now() == window_start, or earlier
     // with nothing due in between when the fabric skipped the blade's
-    // last rounds as quiet. In single-node co-simulation (a RocketCore
+    // last rounds for want of work. In single-node co-simulation (a RocketCore
     // driving devices through MMIO between fabric rounds) the queue may
     // already have been run ahead; the window is then replayed with
     // bounded skew.

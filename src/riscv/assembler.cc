@@ -300,9 +300,11 @@ Assembler::li(Reg rd, int64_t imm)
         return;
     }
     // General 64-bit: materialize the upper part recursively, then
-    // shift and or in 12-bit chunks.
-    int64_t lo = (imm << 52) >> 52;
-    int64_t hi = (imm - lo) >> 12;
+    // shift and or in 12-bit chunks. The split is taken modulo 2^64:
+    // imm - lo overflows int64_t for constants near INT64_MAX.
+    uint64_t bits = static_cast<uint64_t>(imm);
+    int64_t lo = static_cast<int64_t>(bits << 52) >> 52;
+    int64_t hi = static_cast<int64_t>(bits - static_cast<uint64_t>(lo)) >> 12;
     li(rd, hi);
     slli(rd, rd, 12);
     if (lo)

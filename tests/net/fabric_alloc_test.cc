@@ -2,10 +2,12 @@
  * @file
  * Steady-state zero-allocation test for the token fabric's round loop.
  *
- * The fabric recycles flit storage round-to-round (TokenFabric's
- * FlitPool + ring-buffered TokenChannels), so once batch capacities
- * have warmed up, moving tokens allocates nothing — sequentially and
- * with a worker pool. This test replaces the global operator new to
+ * The fabric recycles flit storage round-to-round (each TokenChannel's
+ * spare storage and its ring of stored batches), so once batch
+ * capacities have warmed up, moving tokens allocates nothing —
+ * sequentially and with a worker pool, with every endpoint visited
+ * each round and with sleeping endpoints left alone (no observer).
+ * This test replaces the global operator new to
  * count heap allocations inside a measurement window, which is why it
  * lives in its own test binary (test_fabric_alloc) and must not share
  * a process with other suites.
@@ -127,7 +129,7 @@ class SteadyEndpoint : public TokenEndpoint
 /**
  * A two-port endpoint that only emits every @p period-th window and
  * reports that schedule through nextActivity(), so the fabric skips it
- * as quiet whenever nothing arrives in between.
+ * whenever nothing arrives in between.
  */
 class PulseEndpoint : public TokenEndpoint
 {
@@ -248,12 +250,13 @@ TEST(FabricAlloc, ParallelMonitoredSteadyStateAllocatesNothing)
 }
 
 void
-expectMixedQuietSteadyStateAllocatesNothing(unsigned hosts)
+expectMixedQuietSteadyStateAllocatesNothing(unsigned hosts, bool observe)
 {
     // A ring of pulsing endpoints with co-prime periods (each quiet in
     // the rounds where neither neighbour's pulse reaches it) plus a
     // pair that never has anything to do: quiet and active rounds
-    // interleave in every steady-state pattern.
+    // interleave in every steady-state pattern. Unobserved, sleeping
+    // endpoints are not visited and all-quiet rounds are skipped.
     std::vector<std::unique_ptr<PulseEndpoint>> eps;
     TokenFabric fabric;
     NullObserver watcher;
@@ -271,7 +274,8 @@ expectMixedQuietSteadyStateAllocatesNothing(unsigned hosts)
     fabric.addEndpoint(idleB.get());
     fabric.connect(idleA.get(), 0, idleB.get(), 1, 128);
     fabric.connect(idleA.get(), 1, idleB.get(), 0, 128);
-    fabric.addObserver(&watcher);
+    if (observe)
+        fabric.addObserver(&watcher);
     fabric.finalize();
     fabric.setParallelHosts(hosts);
 
@@ -292,7 +296,7 @@ expectMixedQuietSteadyStateAllocatesNothing(unsigned hosts)
     EXPECT_EQ(g_allocs.load(), 0u)
         << "heap allocations in the mixed quiet/active round loop "
            "(hosts="
-        << hosts << ")";
+        << hosts << ", observer=" << observe << ")";
     EXPECT_EQ(fabric.batchAllocations(), misses_before);
     // Vacuity: traffic flowed, the ring was skipped in some rounds,
     // and the idle pair (after its first pulse) in every round.
@@ -308,12 +312,22 @@ expectMixedQuietSteadyStateAllocatesNothing(unsigned hosts)
 
 TEST(FabricAlloc, MixedQuietSteadyStateAllocatesNothing)
 {
-    expectMixedQuietSteadyStateAllocatesNothing(1);
+    expectMixedQuietSteadyStateAllocatesNothing(1, true);
 }
 
 TEST(FabricAlloc, ParallelMixedQuietSteadyStateAllocatesNothing)
 {
-    expectMixedQuietSteadyStateAllocatesNothing(4);
+    expectMixedQuietSteadyStateAllocatesNothing(4, true);
+}
+
+TEST(FabricAlloc, SleepingEndpointsSteadyStateAllocatesNothing)
+{
+    expectMixedQuietSteadyStateAllocatesNothing(1, false);
+}
+
+TEST(FabricAlloc, ParallelSleepingEndpointsSteadyStateAllocatesNothing)
+{
+    expectMixedQuietSteadyStateAllocatesNothing(4, false);
 }
 
 TEST(FabricAlloc, PoolMissesAreBounded)
