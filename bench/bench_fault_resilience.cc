@@ -54,8 +54,7 @@ runScenario(const FaultPlan &plan, size_t src, size_t dst,
             uint32_t pings, double budget_us)
 {
     TargetClock clk;
-    ClusterConfig cc;
-    bench::applyClusterFlags(cc);
+    ClusterConfig cc = bench::clusterConfig();
     Cluster cluster(topologies::singleTor(8), cc);
     if (!plan.empty()) {
         // The benchmark prints its own tables; keep the per-event
@@ -93,8 +92,7 @@ runScenario(const FaultPlan &plan, size_t src, size_t dst,
 int
 main(int argc, char **argv)
 {
-    bench::parseCommonFlags(argc, argv,
-                            bench::Sharding::SingleProcessOnly);
+    bench::parseCommonFlags(argc, argv, bench::Honours::SingleProcess);
     bench::banner("Resilience", "Deterministic fault injection and "
                                 "graceful degradation");
     TargetClock clk;

@@ -34,8 +34,7 @@ RunResult
 runOne(bool genome, PagingMode mode, double local_fraction,
        const PfaWorkloadConfig &wc)
 {
-    ClusterConfig cc;
-    bench::applyClusterFlags(cc);
+    ClusterConfig cc = bench::clusterConfig();
     cc.net.mtu = 4400;
     cc.net.ringBufBytes = 8192;
     Cluster cluster(topologies::singleTor(2), cc);
@@ -89,8 +88,7 @@ runOne(bool genome, PagingMode mode, double local_fraction,
 int
 main(int argc, char **argv)
 {
-    bench::parseCommonFlags(argc, argv,
-                            bench::Sharding::SingleProcessOnly);
+    bench::parseCommonFlags(argc, argv, bench::Honours::SingleProcess);
     bench::banner("Figure 11", "Hardware-accelerated vs software paging");
 
     PfaWorkloadConfig wc;

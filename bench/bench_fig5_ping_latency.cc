@@ -21,8 +21,7 @@ using namespace firesim;
 int
 main(int argc, char **argv)
 {
-    bench::parseCommonFlags(argc, argv,
-                            bench::Sharding::SingleProcessOnly);
+    bench::parseCommonFlags(argc, argv, bench::Honours::SingleProcess);
     bench::banner("Figure 5", "Ping RTT vs configured link latency");
     TargetClock clk;
     Table t({"Link latency (us)", "Ideal RTT (us)", "Measured RTT (us)",
@@ -33,9 +32,8 @@ main(int argc, char **argv)
 
     for (double lat_us : {0.5, 1.0, 2.0, 4.0, 8.0, 16.0}) {
         Cycles lat = clk.cyclesFromUs(lat_us);
-        ClusterConfig cc;
+        ClusterConfig cc = bench::clusterConfig();
         cc.linkLatency = lat;
-        bench::applyClusterFlags(cc);
         Cluster cluster(topologies::singleTor(8), cc);
 
         PingConfig pc;

@@ -96,7 +96,7 @@ runConfig(double rate_gbps, Cycles stagger, Cycles bucket, int buckets)
         root.addMacEntry(mac, i < kPerTor ? 0 : 1);
     }
     fabric.finalize();
-    fabric.setParallelHosts(bench::parallelHosts());
+    fabric.setParallelHosts(bench::clusterConfig().parallelHosts);
 
     // Rate limit: k/p of the 204.8 Gbit/s line rate.
     uint64_t p = std::max<uint64_t>(
@@ -149,7 +149,7 @@ runConfig(double rate_gbps, Cycles stagger, Cycles bucket, int buckets)
 int
 main(int argc, char **argv)
 {
-    bench::parseCommonFlags(argc, argv);
+    bench::parseCommonFlags(argc, argv, bench::Honours::HostsOnly);
     bench::banner("Figure 6",
                   "Aggregate bandwidth over time at the root switch");
     TargetClock clk;

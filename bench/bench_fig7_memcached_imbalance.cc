@@ -39,9 +39,8 @@ runPoint(uint32_t threads, bool pinned, double target_qps,
          double measure_ms)
 {
     TargetClock clk;
-    ClusterConfig cc;
+    ClusterConfig cc = bench::clusterConfig();
     cc.net.rxQueues = 4; // multi-queue NIC: RSS across two softirqs
-    bench::applyClusterFlags(cc);
     Cluster cluster(topologies::singleTor(8), cc);
 
     MemcachedConfig mc;
@@ -91,8 +90,7 @@ runPoint(uint32_t threads, bool pinned, double target_qps,
 int
 main(int argc, char **argv)
 {
-    bench::parseCommonFlags(argc, argv,
-                            bench::Sharding::SingleProcessOnly);
+    bench::parseCommonFlags(argc, argv, bench::Honours::SingleProcess);
     bench::banner("Figure 7",
                   "memcached tail latency: thread imbalance on a 4-core "
                   "server");

@@ -58,8 +58,7 @@ topoFor(uint32_t nodes)
 double
 measuredMhz(uint32_t nodes, double target_us, unsigned hosts)
 {
-    ClusterConfig cc;
-    bench::applyClusterFlags(cc);
+    ClusterConfig cc = bench::clusterConfig();
     cc.parallelHosts = hosts;
     Cluster cluster(topoFor(nodes), cc);
     std::vector<BootResult> boots(nodes);
@@ -108,8 +107,7 @@ struct BalanceRow
 BalanceRow
 runBalance(unsigned hosts, double target_us)
 {
-    ClusterConfig cc;
-    bench::applyClusterFlags(cc);
+    ClusterConfig cc = bench::clusterConfig();
     cc.parallelHosts = hosts;
     Cluster cluster(topologies::singleTor(32), cc);
     std::vector<BootResult> boots(32);
@@ -203,9 +201,9 @@ writeSweepJson(const char *path, const std::vector<uint32_t> &scales,
 int
 main(int argc, char **argv)
 {
-    bench::parseCommonFlags(argc, argv,
-                            bench::Sharding::SingleProcessOnly);
+    bench::parseCommonFlags(argc, argv, bench::Honours::SingleProcess);
     bench::banner("Figure 8", "Simulation rate vs simulated cluster size");
+    const unsigned hosts = bench::clusterConfig().parallelHosts;
     const Cycles link = 6400; // 2 us batches
 
     Table t({"Nodes", "Predicted F1 MHz (std)", "Predicted F1 MHz "
@@ -225,8 +223,7 @@ main(int argc, char **argv)
 
         std::string meas = "-";
         if (nodes <= measure_limit)
-            meas = Table::fmt(
-                measuredMhz(nodes, 2000.0, bench::parallelHosts()), 2);
+            meas = Table::fmt(measuredMhz(nodes, 2000.0, hosts), 2);
         t.addRow({Table::fmt(nodes, 0), Table::fmt(std_est.targetMhz, 2),
                   Table::fmt(sup_est.targetMhz, 2), meas});
     }
@@ -280,7 +277,7 @@ main(int argc, char **argv)
     // Load balance of the round-robin unit striping on a 32-node
     // target. Results are bit-identical to the 1-thread run; only the
     // worker-pool balance and wall clock are measured.
-    const unsigned balance_hosts = std::max(2u, bench::parallelHosts());
+    const unsigned balance_hosts = std::max(2u, hosts);
     BalanceRow balance = runBalance(balance_hosts, sweep_us);
     Table bal({"Workers", "Max/mean busy", "Rounds", "Target cycles/s"});
     bal.addRow({Table::fmt(balance_hosts, 0),

@@ -30,9 +30,8 @@ namespace
 double
 measuredMhz(Cycles link_latency, double target_us)
 {
-    ClusterConfig cc;
+    ClusterConfig cc = bench::clusterConfig();
     cc.linkLatency = link_latency;
-    bench::applyClusterFlags(cc);
     Cluster cluster(topologies::twoLevel(2, 8), cc);
     bench::maybeResume(cluster);
     bench::Stopwatch clock;
@@ -46,9 +45,8 @@ measuredMhz(Cycles link_latency, double target_us)
 double
 batchesPerKCycle(Cycles link_latency, Cycles quantum)
 {
-    ClusterConfig cc;
+    ClusterConfig cc = bench::clusterConfig();
     cc.linkLatency = link_latency;
-    bench::applyClusterFlags(cc);
     Cluster cluster(topologies::twoLevel(2, 8), cc);
     (void)quantum; // the fabric always batches by min link latency
     Cycles target = 64000;
@@ -64,7 +62,7 @@ batchesPerKCycle(Cycles link_latency, Cycles quantum)
 int
 main(int argc, char **argv)
 {
-    bench::parseCommonFlags(argc, argv);
+    bench::parseCommonFlags(argc, argv, bench::Honours::EveryFlag);
     bench::banner("Figure 9", "Simulation rate vs target link latency");
     SwitchSpec topo = topologies::twoLevel(8, 8);
     DeploymentPlan plan = planDeployment(topo, false);

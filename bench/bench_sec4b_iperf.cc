@@ -24,8 +24,7 @@ namespace
 double
 runOnce(uint32_t segment_bytes, double duration_ms)
 {
-    ClusterConfig cc;
-    bench::applyClusterFlags(cc);
+    ClusterConfig cc = bench::clusterConfig();
     Cluster cluster(topologies::singleTor(2), cc);
     IperfResult result;
     launchIperfServer(cluster.node(0), 5201, 4, &result);
@@ -45,8 +44,7 @@ runOnce(uint32_t segment_bytes, double duration_ms)
 int
 main(int argc, char **argv)
 {
-    bench::parseCommonFlags(argc, argv,
-                            bench::Sharding::SingleProcessOnly);
+    bench::parseCommonFlags(argc, argv, bench::Honours::SingleProcess);
     bench::banner("Section IV-B",
                   "iperf3 bandwidth over the OS network stack");
     double ms = bench::fullScale() ? 20.0 : 5.0;

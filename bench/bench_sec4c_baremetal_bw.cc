@@ -60,8 +60,9 @@ runOnce(uint32_t frame_bytes, uint64_t frames, uint64_t &corrupt)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseCommonFlags(argc, argv, bench::Honours::None);
     bench::banner("Section IV-C", "Bare-metal node-to-node bandwidth");
     uint64_t frames = bench::fullScale() ? 2000 : 500;
 

@@ -85,7 +85,8 @@ buildMesh(Fabric fabric, Rank &r0, Rank &r1)
     opts0.rank = 0;
     opts1.rank = 1;
     opts0.shards = opts1.shards = 2;
-    opts0.shmRingBytes = opts1.shmRingBytes = bench::shardShmRingRef();
+    opts0.shmRingBytes = opts1.shmRingBytes =
+        bench::clusterConfig().shard.shmRingBytes;
     if (fabric == Fabric::Shm)
         opts0.transport = opts1.transport = TransportKind::Shm;
 
@@ -171,7 +172,7 @@ writeBenchJson(const char *path, uint64_t rounds, double unix_ns,
                  "{\n"
                  "  \"bench\": \"shard_transport_barrier\",\n"
                  "  \"rounds\": %llu,\n"
-                 "  \"ring_bytes\": %u,\n"
+                 "  \"ring_bytes\": %zu,\n"
                  "  \"barrier_ns\": {\n"
                  "    \"unix\": %.1f,\n"
                  "    \"shm\": %.1f,\n"
@@ -179,7 +180,8 @@ writeBenchJson(const char *path, uint64_t rounds, double unix_ns,
                  "  },\n"
                  "  \"shm_speedup_vs_unix\": %.3f\n"
                  "}\n",
-                 (unsigned long long)rounds, bench::shardShmRingRef(),
+                 (unsigned long long)rounds,
+                 bench::clusterConfig().shard.shmRingBytes,
                  unix_ns, shm_ns, loop_ns,
                  shm_ns > 0 ? unix_ns / shm_ns : 0.0);
     std::fclose(f);
@@ -288,7 +290,7 @@ benchReshardPlans()
 int
 main(int argc, char **argv)
 {
-    bench::parseCommonFlags(argc, argv);
+    bench::parseCommonFlags(argc, argv, bench::Honours::ShmRingOnly);
     bench::banner("shard-transport",
                   "round-barrier latency across bridge fabrics");
 

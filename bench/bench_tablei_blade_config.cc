@@ -122,8 +122,9 @@ utilizationAndCost()
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseCommonFlags(argc, argv, bench::Honours::None);
     bench::banner("Table I / Section III-A5",
                   "Server blade configuration, hierarchy audit, "
                   "utilization & cost");

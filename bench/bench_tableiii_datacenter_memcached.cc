@@ -109,8 +109,7 @@ runPairing(const DcShape &shape, Pairing pairing, double per_server_qps,
            double measure_ms)
 {
     TargetClock clk;
-    ClusterConfig cc;
-    bench::applyClusterFlags(cc);
+    ClusterConfig cc = bench::clusterConfig();
     Cluster cluster(topologies::threeLevel(shape.aggs, shape.torsPerAgg,
                                            shape.serversPerTor),
                     cc);
@@ -164,8 +163,7 @@ runPairing(const DcShape &shape, Pairing pairing, double per_server_qps,
 int
 main(int argc, char **argv)
 {
-    bench::parseCommonFlags(argc, argv,
-                            bench::Sharding::SingleProcessOnly);
+    bench::parseCommonFlags(argc, argv, bench::Honours::SingleProcess);
     DcShape shape = bench::fullScale() ? DcShape{4, 8, 32}
                                        : DcShape{4, 2, 8};
     double measure_ms = bench::fullScale() ? 20.0 : 10.0;

@@ -46,8 +46,8 @@ namespace
 uint64_t
 heartbeatCadence()
 {
-    return bench::heartbeatEveryRef() ? bench::heartbeatEveryRef()
-                                      : 8192;
+    uint64_t every = bench::clusterConfig().monitor.heartbeatEvery;
+    return every ? every : 8192;
 }
 
 enum class Mode
@@ -69,8 +69,8 @@ struct TrialResult
 TrialResult
 runTrial(Mode mode, double target_us, const std::string &trace_path)
 {
-    ClusterConfig cc; // default 2 us links: realistic round quantum
-    bench::applyClusterFlags(cc);
+    // Default 2 us links: realistic round quantum.
+    ClusterConfig cc = bench::clusterConfig();
     // The trial modes own the observability knobs; whatever the
     // command line set is measured only through its own mode.
     cc.monitor = MonitorConfig{};
@@ -140,8 +140,7 @@ writeBenchJson(const char *path, double off_best, double hb_best,
 int
 main(int argc, char **argv)
 {
-    bench::parseCommonFlags(argc, argv,
-                            bench::Sharding::SingleProcessOnly);
+    bench::parseCommonFlags(argc, argv, bench::Honours::SingleProcess);
     bench::banner("Telemetry overhead",
                   "Out-of-band instrumentation cost on a 2-node ping run");
 

@@ -4,6 +4,10 @@
  * binary regenerates one table or figure from the paper (see
  * DESIGN.md's experiment index and EXPERIMENTS.md for paper-vs-measured
  * results).
+ *
+ * Every bench reads its run configuration from one command line,
+ * parsed against one flag table (kFlagTable) straight into the
+ * ClusterConfig prototype its clusters start from (clusterConfig()).
  */
 
 #ifndef FIRESIM_BENCH_COMMON_HH
@@ -12,6 +16,7 @@
 #include <cerrno>
 #include <chrono>
 #include <climits>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -20,7 +25,7 @@
 
 #include "base/table.hh"
 #include "base/units.hh"
-#include "net/remote/peer_link.hh"
+#include "manager/cluster.hh"
 
 namespace firesim::bench
 {
@@ -41,401 +46,445 @@ paperRef(const std::string &what)
     return "paper: " + what;
 }
 
-/** True when the environment requests full-scale (slow) runs. */
+/**
+ * True when FIRESIM_FULL=1 requests full-scale (slow) runs; unset or
+ * 0 means reduced scale. Any other value exits 2 rather than silently
+ * picking a scale ("true" used to run reduced, "1x" full).
+ */
 inline bool
 fullScale()
 {
     const char *env = std::getenv("FIRESIM_FULL");
-    return env && env[0] == '1';
+    if (!env || std::strcmp(env, "0") == 0)
+        return false;
+    if (std::strcmp(env, "1") == 0)
+        return true;
+    std::fprintf(stderr, "error: FIRESIM_FULL expects 1 or 0, got '%s'\n",
+                 env);
+    std::exit(2);
+}
+
+/** Everything the bench command line sets: the ClusterConfig prototype
+ *  every bench cluster starts from, plus three bench-only knobs. */
+struct BenchFlags
+{
+    ClusterConfig cluster;
+    /** Snapshot file for periodic + final checkpoints ("" = none). */
+    std::string checkpointPath;
+    /** Checkpoint every N fabric rounds; 0 = only the final
+     *  signal-driven snapshot. */
+    unsigned checkpointEvery = 0;
+    /** Snapshot to resume from ("" = fresh run). */
+    std::string restorePath;
+};
+
+/** printf into a std::string (knob errors echo arbitrary values). */
+__attribute__((format(printf, 1, 2))) inline std::string
+errorf(const char *fmt, ...)
+{
+    va_list ap, ap2;
+    va_start(ap, fmt);
+    va_copy(ap2, ap);
+    int n = std::vsnprintf(nullptr, 0, fmt, ap);
+    va_end(ap);
+    std::string s(n > 0 ? static_cast<size_t>(n) : 0, '\0');
+    std::vsnprintf(s.data(), s.size() + 1, fmt, ap2);
+    va_end(ap2);
+    return s;
 }
 
 /**
- * Worker threads for the token fabric (ClusterConfig::parallelHosts /
- * TokenFabric::setParallelHosts), shared by every bench binary. Set by
- * parseCommonFlags(); defaults to 1 (single-threaded).
+ * Parse @p text as a non-negative decimal integer into @p out. Anything
+ * else — empty, leading whitespace (strtoul would skip it), trailing
+ * junk, a bare or negative sign, overflow of unsigned — returns an
+ * error naming @p what and leaves @p out alone.
  */
-inline unsigned &
-parallelHostsRef()
+template <typename T>
+inline std::string
+parseUnsignedKnob(const char *what, const char *text, T &out)
 {
-    static unsigned hosts = 1;
-    return hosts;
-}
-
-inline unsigned
-parallelHosts()
-{
-    return parallelHostsRef();
-}
-
-/**
- * Parse @p text as a non-negative decimal integer; on anything else —
- * empty, trailing junk, a sign, overflow — print a clear error naming
- * @p what and exit(2). std::atoi silently turned "abc" and "-3" into
- * garbage worker counts; benches now refuse instead.
- */
-inline unsigned
-parseUnsignedKnob(const char *what, const char *text)
-{
-    const char *p = text;
-    if (p && *p == '+')
-        ++p; // strtoul accepts "+3"; keep it, reject bare signs below
-    // strtoul also skips leading whitespace, so " 8" used to parse as
-    // 8 — an easy way for a stray quote in a launcher script to hide a
-    // malformed knob. Demand the payload start with a digit.
-    bool digits = p && *p >= '0' && *p <= '9';
+    const char *p = *text == '+' ? text + 1 : text;
+    bool digits = *p >= '0' && *p <= '9';
     char *end = nullptr;
     errno = 0;
     unsigned long v = digits ? std::strtoul(p, &end, 10) : 0;
-    if (!digits || end == p || *end != '\0' || errno == ERANGE ||
-        v > UINT_MAX) {
-        std::fprintf(stderr,
-                     "error: %s expects a non-negative integer, got "
-                     "'%s'\n",
-                     what, text ? text : "");
-        std::exit(2);
-    }
-    return static_cast<unsigned>(v);
+    if (!digits || *end != '\0' || errno == ERANGE || v > UINT_MAX)
+        return errorf("%s expects a non-negative integer, got '%s'", what,
+                      text);
+    out = static_cast<T>(v);
+    return "";
 }
 
-/** Host-side decode-cache fast path for RocketCore harts
- *  (CoreConfig::decodeCache), set by parseCommonFlags(); on by
- *  default, --decode-cache=off is the escape hatch. Bit-identical
- *  simulation results either way — only wall-clock changes. */
-inline bool &
-decodeCacheRef()
+/** Parse exactly "on" or "off". */
+inline std::string
+parseOnOffKnob(const char *what, const char *text, bool &out)
 {
-    static bool on = true;
-    return on;
-}
-
-inline bool
-decodeCache()
-{
-    return decodeCacheRef();
-}
-
-/** Decode-cache capacity in entries (CoreConfig::decodeCacheEntries),
- *  set by parseCommonFlags(); rounded up to a power of two. */
-inline unsigned &
-decodeCacheEntriesRef()
-{
-    static unsigned entries = 1u << 15;
-    return entries;
-}
-
-inline unsigned
-decodeCacheEntries()
-{
-    return decodeCacheEntriesRef();
-}
-
-/** Parse on|off for --decode-cache or exit(2). */
-inline bool
-parseOnOffKnob(const char *what, const char *text)
-{
-    std::string s = text ? text : "";
-    if (s == "on")
-        return true;
-    if (s == "off")
-        return false;
-    std::fprintf(stderr, "error: %s expects on or off, got '%s'\n",
-                 what, s.c_str());
-    std::exit(2);
-}
-
-/** Shard count for distributed runs (ClusterConfig::shard.shards),
- *  set by parseCommonFlags(); defaults to 1 (single process). */
-inline unsigned &
-shardsRef()
-{
-    static unsigned shards = 1;
-    return shards;
-}
-
-inline unsigned
-shards()
-{
-    return shardsRef();
-}
-
-/** This process's shard rank (ClusterConfig::shard.rank). */
-inline unsigned &
-shardRankRef()
-{
-    static unsigned rank = 0;
-    return rank;
-}
-
-inline unsigned
-shardRank()
-{
-    return shardRankRef();
-}
-
-/** Rendezvous host for cross-shard TCP (ClusterConfig::shard). */
-inline std::string &
-shardConnectHostRef()
-{
-    static std::string host = "127.0.0.1";
-    return host;
-}
-
-/** Rendezvous base port; rank r listens on basePort + r. */
-inline unsigned &
-shardBasePortRef()
-{
-    static unsigned port = 0;
-    return port;
+    if (std::strcmp(text, "on") != 0 && std::strcmp(text, "off") != 0)
+        return errorf("%s expects on or off, got '%s'", what, text);
+    out = std::strcmp(text, "on") == 0;
+    return "";
 }
 
 /**
- * Parse HOST:PORT for --shard-connect. The host may not be empty or
- * contain a second colon (no IPv6 literals — use a hostname), and the
- * port goes through parseUnsignedKnob and must fit in 16 bits.
+ * Parse HOST:PORT into the rendezvous fields of @p shard. The host may
+ * not be empty or contain a second colon (no IPv6 literals — use a
+ * hostname); the port must be a strict decimal in [1, 65535].
  */
-inline void
-parseShardConnectKnob(const char *what, const char *text)
+inline std::string
+parseShardConnectKnob(const char *what, const char *text, ShardSpec &shard)
 {
-    std::string s = text ? text : "";
+    std::string s = text;
     size_t colon = s.find(':');
     if (colon == std::string::npos || colon == 0 ||
-        s.find(':', colon + 1) != std::string::npos) {
-        std::fprintf(stderr, "error: %s expects HOST:PORT, got '%s'\n",
-                     what, s.c_str());
-        std::exit(2);
-    }
-    unsigned port = parseUnsignedKnob(what, s.c_str() + colon + 1);
-    if (port == 0 || port > 65535) {
-        std::fprintf(stderr,
-                     "error: %s port must be in [1, 65535], got %u\n",
-                     what, port);
-        std::exit(2);
-    }
-    shardConnectHostRef() = s.substr(0, colon);
-    shardBasePortRef() = port;
-}
-
-/** Cross-shard fabric preference (--shard-transport): auto negotiates
- *  shm for same-host peers, tcp across hosts. */
-inline TransportKind &
-shardTransportRef()
-{
-    static TransportKind kind = TransportKind::Auto;
-    return kind;
-}
-
-/** Per-direction shm ring capacity in bytes (--shard-shm-ring);
- *  rounded up to a power of two by the link. */
-inline unsigned &
-shardShmRingRef()
-{
-    static unsigned bytes = 1u << 20;
-    return bytes;
-}
-
-/** Parse auto|shm|tcp|unix for --shard-transport or exit(2). */
-inline TransportKind
-parseTransportKnob(const char *what, const char *text)
-{
-    TransportKind kind;
-    if (!text || !parseTransportKind(text, kind)) {
-        std::fprintf(stderr,
-                     "error: %s expects auto, shm, tcp, or unix, got "
-                     "'%s'\n", what, text ? text : "");
-        std::exit(2);
-    }
-    return kind;
-}
-
-/** Server->rank placement policy (--shard-policy): 0 = contiguous
- *  block split, 1 = cost-aware (needs a --shard-profile-in from a
- *  prior measured run). Stored as the ShardPolicy enum's underlying
- *  value so this header stays manager-free. */
-inline unsigned &
-shardPolicyIdRef()
-{
-    static unsigned policy = 0;
-    return policy;
-}
-
-/** Deployment profile to feed the cost-aware mapper
- *  (--shard-profile-in; sharded writers produce `<path>.rank<k>`
- *  files which are merged automatically). */
-inline std::string &
-shardProfileInRef()
-{
-    static std::string path;
-    return path;
-}
-
-/** Where to write this run's measured deployment profile at teardown
- *  (--shard-profile-out; empty = don't). */
-inline std::string &
-shardProfileOutRef()
-{
-    static std::string path;
-    return path;
-}
-
-/** Parse block|cost for --shard-policy or exit(2). */
-inline unsigned
-parseShardPolicyKnob(const char *what, const char *text)
-{
-    std::string s = text ? text : "";
-    if (s == "block")
-        return 0;
-    if (s == "cost")
-        return 1;
-    std::fprintf(stderr, "error: %s expects block or cost, got '%s'\n",
-                 what, s.c_str());
-    std::exit(2);
-}
-
-/** Round-latency EWMA smoothing weight (--straggler-alpha), the
- *  weight of the newest sample (MonitorConfig::ewmaAlpha). */
-inline double &
-stragglerAlphaRef()
-{
-    static double alpha = 0.2;
-    return alpha;
+        s.find(':', colon + 1) != std::string::npos)
+        return errorf("%s expects HOST:PORT, got '%s'", what, text);
+    unsigned port = 0;
+    std::string e = parseUnsignedKnob(what, text + colon + 1, port);
+    if (!e.empty())
+        return e;
+    if (port == 0 || port > 65535)
+        return errorf("%s port must be in [1, 65535], got %u", what, port);
+    shard.connectHost = s.substr(0, colon);
+    shard.basePort = static_cast<uint16_t>(port);
+    return "";
 }
 
 /**
- * Parse @p text as a double in (0, 1] for --straggler-alpha or
- * exit(2). The monitor folds alpha into a /256 fixed-point weight;
- * values outside (0, 1] would make the complement weight underflow,
- * so they are rejected here rather than silently clamped.
+ * Parse a value in (0, 1] for --straggler-alpha. The monitor folds
+ * alpha into a /256 fixed-point weight; values outside (0, 1] would
+ * make the complement weight underflow, so they are rejected rather
+ * than silently clamped.
  */
-inline double
-parseAlphaKnob(const char *what, const char *text)
+inline std::string
+parseAlphaKnob(const char *what, const char *text, double &out)
 {
-    const char *p = text;
-    bool starts = p && ((*p >= '0' && *p <= '9') || *p == '.');
+    bool starts = (*text >= '0' && *text <= '9') || *text == '.';
     char *end = nullptr;
     errno = 0;
-    double v = starts ? std::strtod(p, &end) : 0.0;
-    if (!starts || end == p || *end != '\0' || errno == ERANGE ||
-        !(v > 0.0) || v > 1.0) {
-        std::fprintf(stderr,
-                     "error: %s expects a value in (0, 1], got '%s'\n",
-                     what, text ? text : "");
-        std::exit(2);
-    }
-    return v;
+    double v = starts ? std::strtod(text, &end) : 0.0;
+    if (!starts || *end != '\0' || errno == ERANGE || !(v > 0.0) ||
+        v > 1.0)
+        return errorf("%s expects a value in (0, 1], got '%s'", what, text);
+    out = v;
+    return "";
 }
 
-/** Snapshot path for periodic/final checkpoints (--checkpoint). */
-inline std::string &
-checkpointPathRef()
+/** The flag groups of kFlagTable, as bits: a bench declares the set it
+ *  honours (Honours), and a flag outside it is an error. */
+enum FlagGroup : unsigned
 {
-    static std::string path;
-    return path;
-}
+    kHostsGroup = 1u << 0,      //!< in-process fabric worker threads
+    kShardGroup = 1u << 1,      //!< distributed (multi-process) runs
+    kShmRingGroup = 1u << 2,    //!< shared-memory ring capacity
+    kCheckpointGroup = 1u << 3, //!< checkpoint / restore
+    kMonitorGroup = 1u << 4,    //!< live observability
+    kHartGroup = 1u << 5,       //!< RocketCore decode cache
+    kAllGroups = (1u << 6) - 1,
+    kOneProcess = 1u << 6, //!< not a group: --shards must stay 1
+};
 
-/** Checkpoint every N fabric rounds (--checkpoint-every); 0 = only
- *  the final signal-driven snapshot. */
-inline unsigned &
-checkpointEveryRef()
+/** Which flags a bench honours (parseCommonFlags). */
+enum class Honours : unsigned
 {
-    static unsigned every = 0;
-    return every;
-}
+    /** Every flag: the bench builds Clusters and runs sharded. */
+    EveryFlag = kAllGroups,
+    /** Every flag, but --shards above 1 is an error: the workload
+     *  needs the whole cluster in one process. A rank builds only the
+     *  nodes it owns, so driving every node by its global index,
+     *  attaching a cluster-wide health monitor, or picking "the"
+     *  pinger would crash or silently run a different experiment. */
+    SingleProcess = kAllGroups | kOneProcess,
+    /** --parallel-hosts only: the bench drives a raw TokenFabric. */
+    HostsOnly = kHostsGroup,
+    /** --shard-shm-ring only: the bench drives raw ShardTransports. */
+    ShmRingOnly = kShmRingGroup,
+    /** No flag at all: the bench builds no Cluster. */
+    None = 0,
+};
 
-/** Snapshot to resume from (--restore); empty = fresh run. */
-inline std::string &
-restorePathRef()
+/**
+ * One command-line flag: `name` or `name=VALUE`. `value` names the
+ * VALUE (nullptr for a bare switch). `parse` stores the VALUE (nullptr
+ * for a bare switch) into the BenchFlags and returns "" or an error.
+ */
+struct FlagRow
 {
-    static std::string path;
-    return path;
-}
+    const char *name;
+    const char *value;
+    unsigned group;
+    std::string (*parse)(const char *flag, const char *text, BenchFlags &f);
+};
 
-/** Wall-clock cap in ms on the shard rendezvous connect loop
- *  (--shard-connect-timeout); 0 = attempt-bounded only. */
-inline unsigned &
-shardConnectTimeoutMsRef()
-{
-    static unsigned ms = 0;
-    return ms;
-}
+/**
+ * Every flag a bench understands. Simulated results are bit-identical
+ * for every combination; only wall-clock time and the files the flags
+ * name change. Malformed values are an error, not a silent fallback.
+ */
+inline constexpr FlagRow kFlagTable[] = {
+    // Fabric worker threads (ClusterConfig::parallelHosts); 0 means 1.
+    {"--parallel-hosts", "N", kHostsGroup,
+     [](const char *flag, const char *text, BenchFlags &f) {
+         return parseUnsignedKnob(flag, text, f.cluster.parallelHosts);
+     }},
+    // Split the cluster across N OS processes (default 1).
+    {"--shards", "N", kShardGroup,
+     [](const char *flag, const char *text, BenchFlags &f) {
+         return parseUnsignedKnob(flag, text, f.cluster.shard.shards);
+     }},
+    // This process's shard, 0 <= K < N.
+    {"--shard-rank", "K", kShardGroup,
+     [](const char *flag, const char *text, BenchFlags &f) {
+         return parseUnsignedKnob(flag, text, f.cluster.shard.rank);
+     }},
+    // Rendezvous address; rank r listens on PORT + r.
+    {"--shard-connect", "HOST:PORT", kShardGroup,
+     [](const char *flag, const char *text, BenchFlags &f) {
+         return parseShardConnectKnob(flag, text, f.cluster.shard);
+     }},
+    // Wall-clock cap on the whole rendezvous connect loop (0 =
+    // attempt-bounded only). The transport keeps it in an int, so a
+    // value above INT_MAX would wrap negative and drop the deadline.
+    {"--shard-connect-timeout", "MS", kShardGroup,
+     [](const char *flag, const char *text, BenchFlags &f) {
+         unsigned ms = 0;
+         std::string e = parseUnsignedKnob(flag, text, ms);
+         if (e.empty() && ms > static_cast<unsigned>(INT_MAX))
+             e = errorf("%s must be at most %d ms, got %u", flag, INT_MAX,
+                        ms);
+         if (e.empty())
+             f.cluster.shard.connectTimeoutMs = static_cast<int>(ms);
+         return e;
+     }},
+    // Cross-shard fabric: auto (shm for same-host peers, tcp across
+    // hosts; the default) | shm | tcp | unix.
+    {"--shard-transport", "KIND", kShardGroup,
+     [](const char *flag, const char *text, BenchFlags &f) {
+         if (parseTransportKind(text, f.cluster.shard.transport))
+             return std::string();
+         return errorf("%s expects auto, shm, tcp, or unix, got '%s'", flag,
+                       text);
+     }},
+    // Per-direction shm ring capacity, rounded up to a power of two by
+    // the link (default 1048576).
+    {"--shard-shm-ring", "BYTES", kShmRingGroup,
+     [](const char *flag, const char *text, BenchFlags &f) {
+         return parseUnsignedKnob(flag, text, f.cluster.shard.shmRingBytes);
+     }},
+    // Server->rank placement: block (default) | cost (needs
+    // --shard-profile-in from a prior measured run).
+    {"--shard-policy", "P", kShardGroup,
+     [](const char *flag, const char *text, BenchFlags &f) {
+         if (std::strcmp(text, "block") == 0)
+             f.cluster.shard.policy = ShardPolicy::Block;
+         else if (std::strcmp(text, "cost") == 0)
+             f.cluster.shard.policy = ShardPolicy::Cost;
+         else
+             return errorf("%s expects block or cost, got '%s'", flag, text);
+         return std::string();
+     }},
+    // Measured deployment profile feeding the cost-aware mapper
+    // (sharded writers' `<path>.rank<k>` files merge automatically).
+    {"--shard-profile-in", "PATH", kShardGroup,
+     [](const char *, const char *text, BenchFlags &f) {
+         f.cluster.shard.profileIn = text;
+         return std::string();
+     }},
+    // Write this run's measured deployment profile at teardown.
+    {"--shard-profile-out", "PATH", kShardGroup,
+     [](const char *, const char *text, BenchFlags &f) {
+         f.cluster.shard.profileOut = text;
+         return std::string();
+     }},
+    // Snapshot file for periodic + final checkpoints.
+    {"--checkpoint", "PATH", kCheckpointGroup,
+     [](const char *, const char *text, BenchFlags &f) {
+         f.checkpointPath = text;
+         return std::string();
+     }},
+    // Checkpoint every N fabric rounds (needs --checkpoint).
+    {"--checkpoint-every", "N", kCheckpointGroup,
+     [](const char *flag, const char *text, BenchFlags &f) {
+         return parseUnsignedKnob(flag, text, f.checkpointEvery);
+     }},
+    // Resume the bench's clusters from their snapshots.
+    {"--restore", "PATH", kCheckpointGroup,
+     [](const char *, const char *text, BenchFlags &f) {
+         f.restorePath = text;
+         return std::string();
+     }},
+    // Round-latency EWMA weight of the newest sample, in (0, 1]
+    // (default 0.2).
+    {"--straggler-alpha", "A", kMonitorGroup,
+     [](const char *flag, const char *text, BenchFlags &f) {
+         return parseAlphaKnob(flag, text, f.cluster.monitor.ewmaAlpha);
+     }},
+    // Monitoring heartbeat every N fabric rounds (0 = off).
+    {"--heartbeat-every", "N", kMonitorGroup,
+     [](const char *flag, const char *text, BenchFlags &f) {
+         return parseUnsignedKnob(flag, text,
+                                  f.cluster.monitor.heartbeatEvery);
+     }},
+    // Human-readable status line every SEC wall seconds (0 = off).
+    {"--status-interval", "SEC", kMonitorGroup,
+     [](const char *flag, const char *text, BenchFlags &f) {
+         return parseUnsignedKnob(flag, text,
+                                  f.cluster.monitor.statusIntervalSec);
+     }},
+    // Prometheus text file, atomically refreshed on every heartbeat.
+    {"--metrics-file", "PATH", kMonitorGroup,
+     [](const char *, const char *text, BenchFlags &f) {
+         f.cluster.monitor.metricsPath = text;
+         return std::string();
+     }},
+    // Enable the crash flight recorder and its fatal-signal dump.
+    {"--flight-recorder", nullptr, kMonitorGroup,
+     [](const char *, const char *, BenchFlags &f) {
+         f.cluster.flightRecorder.enabled = true;
+         f.cluster.flightRecorder.installSignalHandler = true;
+         return std::string();
+     }},
+    // Flight recorder ring depth in events (default 256).
+    {"--flight-recorder-depth", "N", kMonitorGroup,
+     [](const char *flag, const char *text, BenchFlags &f) {
+         return parseUnsignedKnob(flag, text, f.cluster.flightRecorder.depth);
+     }},
+    // Host-side predecode + superblock fast path for RocketCore harts
+    // (default on).
+    {"--decode-cache", "on|off", kHartGroup,
+     [](const char *flag, const char *text, BenchFlags &f) {
+         return parseOnOffKnob(flag, text, f.cluster.hart.decodeCache);
+     }},
+    // Decode-cache slots, rounded up to a power of two (default 32768).
+    {"--decode-cache-entries", "N", kHartGroup,
+     [](const char *flag, const char *text, BenchFlags &f) {
+         return parseUnsignedKnob(flag, text,
+                                  f.cluster.hart.decodeCacheEntries);
+     }},
+};
 
-/** Parse --shard-connect-timeout milliseconds or exit(2). The shard
- *  transport keeps the deadline in an int, so a value above INT_MAX
- *  would wrap negative and silently drop the deadline. */
-inline unsigned
-parseConnectTimeoutKnob(const char *what, const char *text)
+/** The flag table's names in @p groups, for error messages. */
+inline std::string
+flagNames(unsigned groups)
 {
-    unsigned ms = parseUnsignedKnob(what, text);
-    if (ms > static_cast<unsigned>(INT_MAX)) {
-        std::fprintf(stderr, "error: %s must be at most %d ms, got %u\n",
-                     what, INT_MAX, ms);
-        std::exit(2);
-    }
-    return ms;
-}
-
-/** Heartbeat cadence in fabric rounds (--heartbeat-every); 0 = no
- *  heartbeats (ClusterConfig::monitor.heartbeatEvery). */
-inline unsigned &
-heartbeatEveryRef()
-{
-    static unsigned every = 0;
-    return every;
-}
-
-/** Human status line every N wall seconds (--status-interval);
- *  0 = off (ClusterConfig::monitor.statusIntervalSec). */
-inline unsigned &
-statusIntervalRef()
-{
-    static unsigned sec = 0;
-    return sec;
-}
-
-/** Prometheus text-exposition file, atomically refreshed on every
- *  heartbeat (--metrics-file); empty = off. */
-inline std::string &
-metricsFileRef()
-{
-    static std::string path;
-    return path;
-}
-
-/** Crash flight recorder switch (--flight-recorder). */
-inline bool &
-flightRecorderRef()
-{
-    static bool on = false;
-    return on;
-}
-
-/** Flight recorder ring depth in events (--flight-recorder-depth). */
-inline unsigned &
-flightRecorderDepthRef()
-{
-    static unsigned depth = 256;
-    return depth;
+    std::string names;
+    for (const FlagRow &row : kFlagTable)
+        if (groups & row.group)
+            names += std::string(names.empty() ? "" : ", ") + row.name;
+    return names;
 }
 
 /**
- * Cycles already covered by a --restore replay. The first
- * runClusterUs/runClusterCycles spans consume this credit instead of
- * re-running, so a resumed bench follows the same absolute-cycle
- * trajectory as the uninterrupted one.
+ * Parse argv[1..argc) against kFlagTable into @p out, accepting only
+ * the flags @p honours declares, then cross-check the result. Returns
+ * "" or one error message (without the "error: " prefix) naming the
+ * offending flag; never exits. A later flag overrides an earlier one.
+ * An argument not in the table, a flag outside the declared groups, a
+ * value on a bare switch and a missing value are all errors.
  */
-inline uint64_t &
-resumeCreditRef()
+inline std::string
+parseFlags(int argc, char **argv, Honours honours, BenchFlags &out)
 {
-    static uint64_t credit = 0;
-    return credit;
+    std::string bench = argc > 0 ? argv[0] : "this bench";
+    bench = bench.substr(bench.rfind('/') + 1);
+    const unsigned groups = static_cast<unsigned>(honours);
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        const size_t eq = arg.find('=');
+        const std::string name = arg.substr(0, eq);
+        const char *value = eq == std::string::npos ? nullptr
+                                                    : argv[i] + eq + 1;
+        const FlagRow *row = nullptr;
+        for (const FlagRow &r : kFlagTable)
+            if (name == r.name)
+                row = &r;
+        if (!row)
+            return bench + " does not support " + name + ": no such flag";
+        if (!(groups & row->group))
+            return bench + " does not support " + name +
+                   (groups ? ": it honours only " + flagNames(groups)
+                           : ": it takes no flags");
+        if (row->value && !value)
+            return name + " expects " + name + "=" + row->value;
+        if (!row->value && value)
+            return name + " takes no value, got '" + arg + "'";
+        std::string e = row->parse(row->name, value, out);
+        if (!e.empty())
+            return e;
+    }
+
+    ClusterConfig &cc = out.cluster;
+    if (cc.parallelHosts == 0)
+        cc.parallelHosts = 1;
+    if (cc.shard.shards == 0)
+        return "--shards must be at least 1";
+    if (cc.shard.shards > 1 && (groups & kOneProcess))
+        return errorf("%s does not support --shards=%u: its workload "
+                      "needs the whole cluster in one process",
+                      bench.c_str(), cc.shard.shards);
+    if (cc.shard.rank >= cc.shard.shards)
+        return errorf("--shard-rank=%u out of range for --shards=%u (need "
+                      "0 <= rank < shards)",
+                      cc.shard.rank, cc.shard.shards);
+    if (cc.shard.shards > 1 && cc.shard.basePort == 0)
+        return errorf("--shards=%u needs --shard-connect=HOST:PORT for the "
+                      "rendezvous",
+                      cc.shard.shards);
+    if (cc.shard.shmRingBytes == 0)
+        return "--shard-shm-ring must be at least 1";
+    if (out.checkpointEvery != 0 && out.checkpointPath.empty())
+        return errorf("--checkpoint-every=%u needs --checkpoint=PATH",
+                      out.checkpointEvery);
+    if (cc.flightRecorder.depth == 0)
+        return "--flight-recorder-depth must be at least 1";
+    if (cc.hart.decodeCacheEntries == 0)
+        return "--decode-cache-entries must be at least 1";
+    return "";
 }
 
-/** Number of clusters this bench has passed through maybeResume();
- *  the current cluster's sweep ordinal is this minus one. */
-inline uint64_t &
-runOrdinalRef()
+/** This process's parsed command line (parseCommonFlags). */
+inline BenchFlags &
+parsedFlags()
 {
-    static uint64_t count = 0;
-    return count;
+    static BenchFlags flags;
+    return flags;
+}
+
+/** The ClusterConfig every bench cluster starts from: the defaults
+ *  plus the command line's flags. */
+inline const ClusterConfig &
+clusterConfig()
+{
+    return parsedFlags().cluster;
+}
+
+/**
+ * Parse this bench's command line (parseFlags) into parsedFlags(); on
+ * an error print it and exit 2, before any output or rendezvous. A
+ * malformed FIRESIM_FULL is caught here too. @p honours declares the
+ * flags the bench acts on.
+ */
+inline void
+parseCommonFlags(int argc, char **argv, Honours honours)
+{
+    fullScale();
+    BenchFlags flags;
+    std::string e = parseFlags(argc, argv, honours, flags);
+    if (!e.empty()) {
+        std::fprintf(stderr, "error: %s\n", e.c_str());
+        std::exit(2);
+    }
+    parsedFlags() = std::move(flags);
+    const ClusterConfig &cc = clusterConfig();
+    if (cc.parallelHosts > 1)
+        std::printf("[bench] parallel hosts: %u fabric worker threads "
+                    "(advance units striped round-robin)\n",
+                    cc.parallelHosts);
+    if (cc.shard.shards > 1)
+        std::printf("[bench] distributed: shard %u of %u, rendezvous "
+                    "%s:%u, transport %s\n",
+                    cc.shard.rank, cc.shard.shards,
+                    cc.shard.connectHost.c_str(), cc.shard.basePort,
+                    transportKindName(cc.shard.transport));
 }
 
 /**
@@ -451,323 +500,24 @@ ordinalSnapPath(const std::string &path, uint64_t ordinal)
                         : path + ".run" + std::to_string(ordinal);
 }
 
-/** Whether a bench can run as one rank of a sharded cluster. Benches
- *  whose workload needs the whole cluster in one process cannot: a
- *  rank builds only the nodes it owns, so driving every node by its
- *  global index, attaching a cluster-wide health monitor, or picking
- *  "the" pinger would crash or silently run a different experiment. */
-enum class Sharding
+/** Sweep bookkeeping for --checkpoint / --restore. */
+struct SweepState
 {
-    Supported,
-    SingleProcessOnly,
+    /** Clusters this bench has passed through maybeResume(); the
+     *  current cluster's sweep ordinal is this minus one. */
+    uint64_t clusters = 0;
+    /** Cycles already covered by a --restore replay. The first
+     *  runClusterUs/runClusterCycles spans consume this credit instead
+     *  of re-running, so a resumed bench follows the same
+     *  absolute-cycle trajectory as the uninterrupted one. */
+    uint64_t resumeCredit = 0;
 };
 
-/**
- * Parse the flags every experiment binary understands:
- *   --parallel-hosts=N       fabric worker threads
- *                            (env FIRESIM_PARALLEL_HOSTS)
- *   --shards=N               split the cluster across N OS processes
- *                            (env FIRESIM_SHARDS; default 1)
- *   --shard-rank=K           this process's shard, 0 <= K < N
- *                            (env FIRESIM_SHARD_RANK)
- *   --shard-connect=HOST:PORT  rendezvous address; rank r listens on
- *                            PORT + r (env FIRESIM_SHARD_CONNECT)
- *   --shard-connect-timeout=MS  cap the whole rendezvous connect loop
- *                            (env FIRESIM_SHARD_CONNECT_TIMEOUT; 0 =
- *                            attempt-bounded only)
- *   --shard-transport=KIND   cross-shard fabric: auto | shm | tcp |
- *                            unix (env FIRESIM_SHARD_TRANSPORT;
- *                            default auto — shm for same-host peers,
- *                            tcp across hosts)
- *   --shard-shm-ring=BYTES   per-direction shm ring capacity, rounded
- *                            up to a power of two
- *                            (env FIRESIM_SHARD_SHM_RING;
- *                            default 1048576)
- *   --shard-policy=P         server->rank placement: block | cost
- *                            (env FIRESIM_SHARD_POLICY; default block;
- *                            cost needs --shard-profile-in)
- *   --shard-profile-in=PATH  measured deployment profile feeding the
- *                            cost-aware mapper
- *                            (env FIRESIM_SHARD_PROFILE_IN)
- *   --shard-profile-out=PATH write this run's measured profile at
- *                            teardown (env FIRESIM_SHARD_PROFILE_OUT)
- *   --straggler-alpha=A      round-latency EWMA weight of the newest
- *                            sample, in (0, 1]
- *                            (env FIRESIM_STRAGGLER_ALPHA; default 0.2)
- *   --checkpoint=PATH        snapshot file for periodic + final
- *                            checkpoints (env FIRESIM_CHECKPOINT)
- *   --checkpoint-every=N     checkpoint every N fabric rounds
- *                            (env FIRESIM_CHECKPOINT_EVERY; needs
- *                            --checkpoint)
- *   --restore=PATH           resume the first cluster this bench
- *                            builds from a snapshot
- *                            (env FIRESIM_RESTORE)
- *   --heartbeat-every=N      emit a monitoring heartbeat every N
- *                            fabric rounds (env FIRESIM_HEARTBEAT_EVERY;
- *                            0 = off)
- *   --status-interval=SEC    human-readable status line every SEC wall
- *                            seconds (env FIRESIM_STATUS_INTERVAL)
- *   --metrics-file=PATH      Prometheus text file, atomically refreshed
- *                            on every heartbeat (env FIRESIM_METRICS_FILE)
- *   --flight-recorder        enable the crash flight recorder
- *                            (env FIRESIM_FLIGHT_RECORDER=1)
- *   --flight-recorder-depth=N  flight recorder ring depth in events
- *                            (env FIRESIM_FLIGHT_RECORDER_DEPTH;
- *                            default 256)
- *   --decode-cache=on|off    host-side predecode + superblock fast
- *                            path for RocketCore harts
- *                            (env FIRESIM_DECODE_CACHE; default on)
- *   --decode-cache-entries=N decode-cache slots, rounded up to a power
- *                            of two (env FIRESIM_DECODE_CACHE_ENTRIES;
- *                            default 32768; must be at least 1)
- * Flags win over the environment. Malformed values are an error, not a
- * silent fallback. Unknown arguments are ignored so binaries stay
- * permissive. Results are bit-identical for every combination — only
- * wall-clock changes. A bench passing Sharding::SingleProcessOnly
- * exits 2 on --shards > 1, before any rendezvous.
- */
-inline void
-parseCommonFlags(int argc, char **argv,
-                 Sharding sharding = Sharding::Supported)
+inline SweepState &
+sweepState()
 {
-    if (const char *env = std::getenv("FIRESIM_PARALLEL_HOSTS"))
-        parallelHostsRef() = parseUnsignedKnob("FIRESIM_PARALLEL_HOSTS",
-                                               env);
-    if (const char *env = std::getenv("FIRESIM_SHARDS"))
-        shardsRef() = parseUnsignedKnob("FIRESIM_SHARDS", env);
-    if (const char *env = std::getenv("FIRESIM_SHARD_RANK"))
-        shardRankRef() = parseUnsignedKnob("FIRESIM_SHARD_RANK", env);
-    if (const char *env = std::getenv("FIRESIM_SHARD_CONNECT"))
-        parseShardConnectKnob("FIRESIM_SHARD_CONNECT", env);
-    if (const char *env = std::getenv("FIRESIM_SHARD_CONNECT_TIMEOUT"))
-        shardConnectTimeoutMsRef() =
-            parseConnectTimeoutKnob("FIRESIM_SHARD_CONNECT_TIMEOUT", env);
-    if (const char *env = std::getenv("FIRESIM_SHARD_TRANSPORT"))
-        shardTransportRef() =
-            parseTransportKnob("FIRESIM_SHARD_TRANSPORT", env);
-    if (const char *env = std::getenv("FIRESIM_SHARD_SHM_RING"))
-        shardShmRingRef() =
-            parseUnsignedKnob("FIRESIM_SHARD_SHM_RING", env);
-    if (const char *env = std::getenv("FIRESIM_SHARD_POLICY"))
-        shardPolicyIdRef() =
-            parseShardPolicyKnob("FIRESIM_SHARD_POLICY", env);
-    if (const char *env = std::getenv("FIRESIM_SHARD_PROFILE_IN"))
-        shardProfileInRef() = env;
-    if (const char *env = std::getenv("FIRESIM_SHARD_PROFILE_OUT"))
-        shardProfileOutRef() = env;
-    if (const char *env = std::getenv("FIRESIM_STRAGGLER_ALPHA"))
-        stragglerAlphaRef() =
-            parseAlphaKnob("FIRESIM_STRAGGLER_ALPHA", env);
-    if (const char *env = std::getenv("FIRESIM_CHECKPOINT"))
-        checkpointPathRef() = env;
-    if (const char *env = std::getenv("FIRESIM_CHECKPOINT_EVERY"))
-        checkpointEveryRef() =
-            parseUnsignedKnob("FIRESIM_CHECKPOINT_EVERY", env);
-    if (const char *env = std::getenv("FIRESIM_RESTORE"))
-        restorePathRef() = env;
-    if (const char *env = std::getenv("FIRESIM_HEARTBEAT_EVERY"))
-        heartbeatEveryRef() =
-            parseUnsignedKnob("FIRESIM_HEARTBEAT_EVERY", env);
-    if (const char *env = std::getenv("FIRESIM_STATUS_INTERVAL"))
-        statusIntervalRef() =
-            parseUnsignedKnob("FIRESIM_STATUS_INTERVAL", env);
-    if (const char *env = std::getenv("FIRESIM_METRICS_FILE"))
-        metricsFileRef() = env;
-    if (const char *env = std::getenv("FIRESIM_FLIGHT_RECORDER"))
-        flightRecorderRef() = env[0] == '1';
-    if (const char *env = std::getenv("FIRESIM_FLIGHT_RECORDER_DEPTH"))
-        flightRecorderDepthRef() =
-            parseUnsignedKnob("FIRESIM_FLIGHT_RECORDER_DEPTH", env);
-    if (const char *env = std::getenv("FIRESIM_DECODE_CACHE"))
-        decodeCacheRef() = parseOnOffKnob("FIRESIM_DECODE_CACHE", env);
-    if (const char *env = std::getenv("FIRESIM_DECODE_CACHE_ENTRIES"))
-        decodeCacheEntriesRef() =
-            parseUnsignedKnob("FIRESIM_DECODE_CACHE_ENTRIES", env);
-
-    const std::string hosts_flag = "--parallel-hosts=";
-    const std::string shards_flag = "--shards=";
-    const std::string rank_flag = "--shard-rank=";
-    const std::string connect_flag = "--shard-connect=";
-    const std::string ctimeout_flag = "--shard-connect-timeout=";
-    const std::string transport_flag = "--shard-transport=";
-    const std::string shm_ring_flag = "--shard-shm-ring=";
-    const std::string spolicy_flag = "--shard-policy=";
-    const std::string sprof_in_flag = "--shard-profile-in=";
-    const std::string sprof_out_flag = "--shard-profile-out=";
-    const std::string salpha_flag = "--straggler-alpha=";
-    const std::string ckpt_flag = "--checkpoint=";
-    const std::string ckpt_every_flag = "--checkpoint-every=";
-    const std::string restore_flag = "--restore=";
-    const std::string hb_flag = "--heartbeat-every=";
-    const std::string status_flag = "--status-interval=";
-    const std::string metrics_flag = "--metrics-file=";
-    const std::string fr_flag = "--flight-recorder";
-    const std::string fr_depth_flag = "--flight-recorder-depth=";
-    const std::string dcache_flag = "--decode-cache=";
-    const std::string dcache_entries_flag = "--decode-cache-entries=";
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind(hosts_flag, 0) == 0)
-            parallelHostsRef() = parseUnsignedKnob(
-                "--parallel-hosts", arg.c_str() + hosts_flag.size());
-        else if (arg.rfind(shards_flag, 0) == 0)
-            shardsRef() = parseUnsignedKnob(
-                "--shards", arg.c_str() + shards_flag.size());
-        else if (arg.rfind(rank_flag, 0) == 0)
-            shardRankRef() = parseUnsignedKnob(
-                "--shard-rank", arg.c_str() + rank_flag.size());
-        else if (arg.rfind(connect_flag, 0) == 0)
-            parseShardConnectKnob(
-                "--shard-connect", arg.c_str() + connect_flag.size());
-        else if (arg.rfind(ctimeout_flag, 0) == 0)
-            shardConnectTimeoutMsRef() = parseConnectTimeoutKnob(
-                "--shard-connect-timeout",
-                arg.c_str() + ctimeout_flag.size());
-        else if (arg.rfind(transport_flag, 0) == 0)
-            shardTransportRef() = parseTransportKnob(
-                "--shard-transport",
-                arg.c_str() + transport_flag.size());
-        else if (arg.rfind(shm_ring_flag, 0) == 0)
-            shardShmRingRef() = parseUnsignedKnob(
-                "--shard-shm-ring", arg.c_str() + shm_ring_flag.size());
-        else if (arg.rfind(spolicy_flag, 0) == 0)
-            shardPolicyIdRef() = parseShardPolicyKnob(
-                "--shard-policy", arg.c_str() + spolicy_flag.size());
-        else if (arg.rfind(sprof_in_flag, 0) == 0)
-            shardProfileInRef() = arg.substr(sprof_in_flag.size());
-        else if (arg.rfind(sprof_out_flag, 0) == 0)
-            shardProfileOutRef() = arg.substr(sprof_out_flag.size());
-        else if (arg.rfind(salpha_flag, 0) == 0)
-            stragglerAlphaRef() = parseAlphaKnob(
-                "--straggler-alpha", arg.c_str() + salpha_flag.size());
-        else if (arg.rfind(ckpt_flag, 0) == 0)
-            checkpointPathRef() = arg.substr(ckpt_flag.size());
-        else if (arg.rfind(ckpt_every_flag, 0) == 0)
-            checkpointEveryRef() = parseUnsignedKnob(
-                "--checkpoint-every",
-                arg.c_str() + ckpt_every_flag.size());
-        else if (arg.rfind(restore_flag, 0) == 0)
-            restorePathRef() = arg.substr(restore_flag.size());
-        else if (arg.rfind(hb_flag, 0) == 0)
-            heartbeatEveryRef() = parseUnsignedKnob(
-                "--heartbeat-every", arg.c_str() + hb_flag.size());
-        else if (arg.rfind(status_flag, 0) == 0)
-            statusIntervalRef() = parseUnsignedKnob(
-                "--status-interval", arg.c_str() + status_flag.size());
-        else if (arg.rfind(metrics_flag, 0) == 0)
-            metricsFileRef() = arg.substr(metrics_flag.size());
-        else if (arg.rfind(fr_depth_flag, 0) == 0)
-            flightRecorderDepthRef() = parseUnsignedKnob(
-                "--flight-recorder-depth",
-                arg.c_str() + fr_depth_flag.size());
-        else if (arg.rfind(dcache_entries_flag, 0) == 0)
-            decodeCacheEntriesRef() = parseUnsignedKnob(
-                "--decode-cache-entries",
-                arg.c_str() + dcache_entries_flag.size());
-        else if (arg.rfind(dcache_flag, 0) == 0)
-            decodeCacheRef() = parseOnOffKnob(
-                "--decode-cache", arg.c_str() + dcache_flag.size());
-        else if (arg == fr_flag)
-            flightRecorderRef() = true;
-    }
-    if (parallelHostsRef() == 0)
-        parallelHostsRef() = 1;
-    if (shardsRef() == 0) {
-        std::fprintf(stderr, "error: --shards must be at least 1\n");
-        std::exit(2);
-    }
-    if (shardsRef() > 1 && sharding == Sharding::SingleProcessOnly) {
-        const char *bench = argc > 0 ? argv[0] : "this bench";
-        if (const char *slash = std::strrchr(bench, '/'))
-            bench = slash + 1;
-        std::fprintf(stderr,
-                     "error: %s does not support --shards=%u: its "
-                     "workload needs the whole cluster in one process\n",
-                     bench, shards());
-        std::exit(2);
-    }
-    if (shardRankRef() >= shardsRef()) {
-        std::fprintf(stderr,
-                     "error: --shard-rank=%u out of range for "
-                     "--shards=%u (need 0 <= rank < shards)\n",
-                     shardRank(), shards());
-        std::exit(2);
-    }
-    if (shardsRef() > 1 && shardBasePortRef() == 0) {
-        std::fprintf(stderr,
-                     "error: --shards=%u needs --shard-connect="
-                     "HOST:PORT for the rendezvous\n",
-                     shards());
-        std::exit(2);
-    }
-    if (shardShmRingRef() == 0) {
-        std::fprintf(stderr,
-                     "error: --shard-shm-ring must be at least 1\n");
-        std::exit(2);
-    }
-    if (checkpointEveryRef() != 0 && checkpointPathRef().empty()) {
-        std::fprintf(stderr, "error: --checkpoint-every=%u needs "
-                             "--checkpoint=PATH\n",
-                     checkpointEveryRef());
-        std::exit(2);
-    }
-    if (flightRecorderDepthRef() == 0) {
-        std::fprintf(stderr,
-                     "error: --flight-recorder-depth must be at "
-                     "least 1\n");
-        std::exit(2);
-    }
-    if (decodeCacheEntriesRef() == 0) {
-        std::fprintf(stderr,
-                     "error: --decode-cache-entries must be at "
-                     "least 1\n");
-        std::exit(2);
-    }
-    if (parallelHostsRef() > 1)
-        std::printf("[bench] parallel hosts: %u fabric worker threads "
-                    "(advance units striped round-robin)\n",
-                    parallelHostsRef());
-    if (shards() > 1)
-        std::printf("[bench] distributed: shard %u of %u, rendezvous "
-                    "%s:%u, transport %s\n",
-                    shardRank(), shards(),
-                    shardConnectHostRef().c_str(), shardBasePortRef(),
-                    transportKindName(shardTransportRef()));
-}
-
-/**
- * Apply every parsed knob to a ClusterConfig (templated so this header
- * does not pull in the manager). Every bench that builds a Cluster
- * funnels through here, so new knobs reach all of them at once.
- */
-template <typename ClusterConfigT>
-inline void
-applyClusterFlags(ClusterConfigT &cc)
-{
-    cc.parallelHosts = parallelHosts();
-    cc.shard.shards = shards();
-    cc.shard.rank = shardRank();
-    cc.shard.connectHost = shardConnectHostRef();
-    cc.shard.basePort = static_cast<uint16_t>(shardBasePortRef());
-    cc.shard.connectTimeoutMs =
-        static_cast<int>(shardConnectTimeoutMsRef());
-    cc.shard.transport = shardTransportRef();
-    cc.shard.shmRingBytes = shardShmRingRef();
-    // decltype keeps this header manager-free: the id is the
-    // ShardPolicy enum's underlying value (0 = block, 1 = cost).
-    cc.shard.policy =
-        static_cast<decltype(cc.shard.policy)>(shardPolicyIdRef());
-    cc.shard.profileIn = shardProfileInRef();
-    cc.shard.profileOut = shardProfileOutRef();
-    cc.monitor.ewmaAlpha = stragglerAlphaRef();
-    cc.monitor.heartbeatEvery = heartbeatEveryRef();
-    cc.monitor.statusIntervalSec = statusIntervalRef();
-    cc.monitor.metricsPath = metricsFileRef();
-    cc.flightRecorder.enabled = flightRecorderRef();
-    cc.flightRecorder.depth = flightRecorderDepthRef();
-    cc.flightRecorder.installSignalHandler = flightRecorderRef();
-    cc.hart.decodeCache = decodeCache();
-    cc.hart.decodeCacheEntries = decodeCacheEntries();
+    static SweepState state;
+    return state;
 }
 
 /**
@@ -784,11 +534,13 @@ template <typename ClusterT>
 inline void
 maybeResume(ClusterT &clu)
 {
-    uint64_t ordinal = runOrdinalRef()++;
-    resumeCreditRef() = 0; // credit never crosses clusters
-    if (restorePathRef().empty())
+    SweepState &sweep = sweepState();
+    uint64_t ordinal = sweep.clusters++;
+    sweep.resumeCredit = 0; // credit never crosses clusters
+    const std::string &restore = parsedFlags().restorePath;
+    if (restore.empty())
         return;
-    std::string path = ordinalSnapPath(restorePathRef(), ordinal);
+    std::string path = ordinalSnapPath(restore, ordinal);
     if (!snapshotExists(clu, path))
         return;
     std::string e = resumeFromSnapshot(clu, path);
@@ -797,7 +549,7 @@ maybeResume(ClusterT &clu)
                      path.c_str(), e.c_str());
         std::exit(1);
     }
-    resumeCreditRef() = clu.now();
+    sweep.resumeCredit = clu.now();
     std::printf("[bench] resumed from %s at cycle %llu\n",
                 path.c_str(), (unsigned long long)clu.now());
 }
@@ -813,20 +565,22 @@ template <typename ClusterT>
 inline bool
 runClusterCycles(ClusterT &clu, uint64_t cycles)
 {
-    uint64_t &credit = resumeCreditRef();
-    uint64_t skip = credit < cycles ? credit : cycles;
-    credit -= skip;
+    SweepState &sweep = sweepState();
+    uint64_t skip = sweep.resumeCredit < cycles ? sweep.resumeCredit
+                                                : cycles;
+    sweep.resumeCredit -= skip;
     cycles -= skip;
     if (cycles == 0)
         return true;
-    if (checkpointPathRef().empty()) {
+    const BenchFlags &flags = parsedFlags();
+    if (flags.checkpointPath.empty()) {
         clu.run(cycles);
         return true;
     }
-    uint64_t ordinal = runOrdinalRef() ? runOrdinalRef() - 1 : 0;
+    uint64_t ordinal = sweep.clusters ? sweep.clusters - 1 : 0;
     return runWithCheckpoints(
-        clu, cycles, ordinalSnapPath(checkpointPathRef(), ordinal),
-        checkpointEveryRef());
+        clu, cycles, ordinalSnapPath(flags.checkpointPath, ordinal),
+        flags.checkpointEvery);
 }
 
 /** runClusterCycles for a span given in target microseconds. */

@@ -18,8 +18,11 @@
  * buffering.
  *
  * The paper parallelizes ingress with one OpenMP thread per port; this
- * reproduction performs the same phases serially (the phases are
- * data-parallel, so results are identical).
+ * reproduction runs ingress and the switching step serially, then
+ * drains output ports in egress slices (SwitchConfig::slicePorts ports
+ * each) that run concurrently on the fabric's worker pool. The phases
+ * are data-parallel, so results are identical to the monolithic
+ * advance at any worker count.
  */
 
 #ifndef FIRESIM_SWITCH_SWITCH_HH

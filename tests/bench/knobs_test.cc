@@ -1,248 +1,305 @@
 /**
  * @file
- * Death tests for the bench knob parsers (bench/common.hh): the
- * documented contract is strict — no leading whitespace (strtoul
- * would silently skip it), no signs, no trailing junk — on both the
- * --flag and the FIRESIM_* environment paths, which share the parser.
+ * The bench command-line contract (bench/common.hh): one flag table,
+ * parsed straight into a BenchFlags. Values are strict — no leading
+ * whitespace (strtoul would silently skip it), no signs, no trailing
+ * junk — and a flag the bench does not honour, or one not in the table
+ * at all, is an error rather than silently ignored.
+ *
+ * parseFlags() returns its error instead of exiting, so every case
+ * parses into a fresh BenchFlags and no case depends on another. The
+ * KnobParseDeath suite holds the rejection cases; its one death test
+ * pins parseCommonFlags' exit-2 contract.
  */
 
 #include <gtest/gtest.h>
 
 #include <climits>
-#include <cstdlib>
+#include <initializer_list>
+#include <string>
+#include <vector>
 
 #include "bench/common.hh"
-#include "manager/cluster.hh"
 
 namespace firesim
 {
 namespace
 {
 
-using bench::parseCommonFlags;
-using bench::parseShardConnectKnob;
+using bench::BenchFlags;
+using bench::Honours;
 using bench::parseUnsignedKnob;
 
-/** Run parseCommonFlags on a single fake argv flag. */
-void
-parseOneFlag(const char *flag)
+/** Parse `bench <args...>` into @p f; returns the error ("" = ok). */
+std::string
+parse(std::initializer_list<const char *> args, BenchFlags &f,
+      Honours honours = Honours::EveryFlag)
 {
-    const char *argv[] = {"bench", flag};
-    parseCommonFlags(2, const_cast<char **>(argv));
+    std::vector<const char *> argv = {"bench"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    return bench::parseFlags(static_cast<int>(argv.size()),
+                             const_cast<char **>(argv.data()), honours, f);
+}
+
+/** The error for `bench <args...>` parsed into a fresh BenchFlags. */
+std::string
+flagError(std::initializer_list<const char *> args,
+          Honours honours = Honours::EveryFlag)
+{
+    BenchFlags f;
+    return parse(args, f, honours);
+}
+
+/** The error parseUnsignedKnob gives for @p text. */
+std::string
+unsignedError(const char *text)
+{
+    unsigned v = 0;
+    return parseUnsignedKnob("t", text, v);
+}
+
+/** @p err is an error that mentions @p fragment. */
+::testing::AssertionResult
+rejects(const std::string &err, const char *fragment)
+{
+    if (err.find(fragment) != std::string::npos)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << (err.empty() ? "accepted" : "error '" + err + "'")
+           << ", expected an error mentioning '" << fragment << "'";
 }
 
 TEST(KnobParse, AcceptsStrictDecimal)
 {
-    EXPECT_EQ(parseUnsignedKnob("t", "0"), 0u);
-    EXPECT_EQ(parseUnsignedKnob("t", "8"), 8u);
-    EXPECT_EQ(parseUnsignedKnob("t", "+3"), 3u);
-    EXPECT_EQ(parseUnsignedKnob("t", "4294967295"), 4294967295u);
+    for (auto [text, want] : {std::pair{"0", 0u}, std::pair{"8", 8u},
+                              std::pair{"+3", 3u},
+                              std::pair{"4294967295", 4294967295u}}) {
+        unsigned v = 7;
+        EXPECT_EQ(parseUnsignedKnob("t", text, v), "") << text;
+        EXPECT_EQ(v, want) << text;
+    }
 }
 
 TEST(KnobParseDeath, RejectsMalformedValues)
 {
-    EXPECT_EXIT(parseUnsignedKnob("t", ""),
-                ::testing::ExitedWithCode(2), "non-negative integer");
-    EXPECT_EXIT(parseUnsignedKnob("t", "abc"),
-                ::testing::ExitedWithCode(2), "non-negative integer");
-    EXPECT_EXIT(parseUnsignedKnob("t", "-3"),
-                ::testing::ExitedWithCode(2), "non-negative integer");
-    EXPECT_EXIT(parseUnsignedKnob("t", "3x"),
-                ::testing::ExitedWithCode(2), "non-negative integer");
-    EXPECT_EXIT(parseUnsignedKnob("t", "+"),
-                ::testing::ExitedWithCode(2), "non-negative integer");
-    EXPECT_EXIT(parseUnsignedKnob("t", "4294967296"),
-                ::testing::ExitedWithCode(2), "non-negative integer");
+    for (const char *text : {"", "abc", "-3", "3x", "+", "4294967296"})
+        EXPECT_TRUE(rejects(unsignedError(text), "non-negative integer"))
+            << "'" << text << "'";
+    unsigned v = 7;
+    EXPECT_NE(parseUnsignedKnob("t", "3x", v), "");
+    EXPECT_EQ(v, 7u) << "a rejected value leaves the field alone";
 }
 
 TEST(KnobParseDeath, RejectsLeadingWhitespace)
 {
     // strtoul skips leading whitespace, so " 8" used to parse as 8 in
-    // violation of the strict contract. All whitespace shapes die now.
-    EXPECT_EXIT(parseUnsignedKnob("t", " 8"),
-                ::testing::ExitedWithCode(2), "non-negative integer");
-    EXPECT_EXIT(parseUnsignedKnob("t", "\t8"),
-                ::testing::ExitedWithCode(2), "non-negative integer");
-    EXPECT_EXIT(parseUnsignedKnob("t", " +8"),
-                ::testing::ExitedWithCode(2), "non-negative integer");
-    EXPECT_EXIT(parseUnsignedKnob("t", "8 "),
-                ::testing::ExitedWithCode(2), "non-negative integer");
-}
-
-TEST(KnobParseDeath, EnvPathSharesTheStrictParser)
-{
-    // The FIRESIM_* environment variables funnel through the same
-    // parser; a whitespace-polluted env var must die, not truncate.
-    EXPECT_EXIT(
-        {
-            setenv("FIRESIM_PARALLEL_HOSTS", " 8", 1);
-            parseCommonFlags(0, nullptr);
-        },
-        ::testing::ExitedWithCode(2), "FIRESIM_PARALLEL_HOSTS");
-    EXPECT_EXIT(
-        {
-            setenv("FIRESIM_SHARDS", "2x", 1);
-            parseCommonFlags(0, nullptr);
-        },
-        ::testing::ExitedWithCode(2), "FIRESIM_SHARDS");
+    // violation of the strict contract. All whitespace shapes fail.
+    for (const char *text : {" 8", "\t8", " +8", "8 "})
+        EXPECT_TRUE(rejects(unsignedError(text), "non-negative integer"))
+            << "'" << text << "'";
 }
 
 TEST(KnobParseDeath, FlagPathRejectsWhitespace)
 {
-    EXPECT_EXIT(parseOneFlag("--parallel-hosts= 8"),
-                ::testing::ExitedWithCode(2), "--parallel-hosts");
-    EXPECT_EXIT(parseOneFlag("--shard-rank=1 "),
-                ::testing::ExitedWithCode(2), "--shard-rank");
+    EXPECT_TRUE(rejects(flagError({"--parallel-hosts= 8"}),
+                        "--parallel-hosts"));
+    EXPECT_TRUE(rejects(flagError({"--shard-rank=1 "}), "--shard-rank"));
+}
+
+TEST(KnobParseDeath, ParseCommonFlagsExitsTwo)
+{
+    // The returning parser's error reaches the user as "error: ..." on
+    // stderr with exit status 2, before any rendezvous.
+    EXPECT_EXIT(([] {
+                    const char *argv[] = {"bench", "--parallel-hosts=x"};
+                    bench::parseCommonFlags(2, const_cast<char **>(argv),
+                                            Honours::EveryFlag);
+                }()),
+                ::testing::ExitedWithCode(2),
+                "error: --parallel-hosts expects a non-negative integer");
+}
+
+TEST(KnobParse, ParsesIntoTheClusterConfig)
+{
+    BenchFlags f;
+    ASSERT_EQ(parse({"--parallel-hosts=4", "--shards=2", "--shard-rank=1",
+                     "--shard-connect=h:9000", "--checkpoint=c.snap",
+                     "--checkpoint-every=200", "--restore=r.snap"},
+                    f),
+              "");
+    EXPECT_EQ(f.cluster.parallelHosts, 4u);
+    EXPECT_EQ(f.cluster.shard.shards, 2u);
+    EXPECT_EQ(f.cluster.shard.rank, 1u);
+    EXPECT_EQ(f.checkpointPath, "c.snap");
+    EXPECT_EQ(f.checkpointEvery, 200u);
+    EXPECT_EQ(f.restorePath, "r.snap");
+
+    // A later flag overrides an earlier one; --parallel-hosts=0 means 1.
+    BenchFlags g;
+    ASSERT_EQ(parse({"--parallel-hosts=4", "--parallel-hosts=0"}, g), "");
+    EXPECT_EQ(g.cluster.parallelHosts, 1u);
+
+    // No flags: exactly the ClusterConfig defaults.
+    BenchFlags d;
+    ASSERT_EQ(parse({}, d), "");
+    ClusterConfig cc;
+    EXPECT_EQ(d.cluster.parallelHosts, cc.parallelHosts);
+    EXPECT_EQ(d.cluster.shard.shmRingBytes, cc.shard.shmRingBytes);
+    EXPECT_EQ(d.cluster.hart.decodeCacheEntries, cc.hart.decodeCacheEntries);
+    EXPECT_TRUE(d.checkpointPath.empty());
+}
+
+TEST(KnobParseDeath, UnknownArgumentsAreRejected)
+{
+    // A typo used to be ignored and the run measured the default
+    // experiment.
+    EXPECT_TRUE(rejects(flagError({"--paralel-hosts=4"}),
+                        "bench does not support --paralel-hosts"));
+    EXPECT_TRUE(rejects(flagError({"stray"}), "does not support stray"));
+    // A value on the bare switch, and a valued flag without one.
+    EXPECT_TRUE(rejects(flagError({"--flight-recorder=on"}),
+                        "--flight-recorder takes no value"));
+    EXPECT_TRUE(rejects(flagError({"--parallel-hosts"}),
+                        "--parallel-hosts expects --parallel-hosts=N"));
+    EXPECT_TRUE(rejects(flagError({"--checkpoint"}), "--checkpoint"));
+}
+
+TEST(KnobParseDeath, UnhonouredFlagsAreRejected)
+{
+    EXPECT_TRUE(rejects(flagError({"--checkpoint=x"}, Honours::HostsOnly),
+                        "bench does not support --checkpoint"));
+    EXPECT_EQ(flagError({"--parallel-hosts=2"}, Honours::HostsOnly), "");
+    EXPECT_TRUE(rejects(flagError({"--parallel-hosts=2"},
+                                  Honours::ShmRingOnly),
+                        "it honours only --shard-shm-ring"));
+    EXPECT_EQ(flagError({"--shard-shm-ring=65536"}, Honours::ShmRingOnly),
+              "");
+    EXPECT_TRUE(rejects(flagError({"--shards=1"}, Honours::None),
+                        "does not support --shards: it takes no flags"));
+    EXPECT_EQ(flagError({}, Honours::None), "");
+
+    // SingleProcess honours every flag but --shards above 1.
+    EXPECT_EQ(flagError({"--shards=1", "--checkpoint=x"},
+                        Honours::SingleProcess),
+              "");
+    EXPECT_TRUE(rejects(flagError({"--shards=2", "--shard-rank=0"},
+                                  Honours::SingleProcess),
+                        "bench does not support --shards=2: its workload "
+                        "needs the whole cluster in one process"));
 }
 
 TEST(KnobParseDeath, ShardConnectDemandsHostColonPort)
 {
-    EXPECT_EXIT(parseShardConnectKnob("--shard-connect", "nohost"),
-                ::testing::ExitedWithCode(2), "HOST:PORT");
-    EXPECT_EXIT(parseShardConnectKnob("--shard-connect", ":9000"),
-                ::testing::ExitedWithCode(2), "HOST:PORT");
-    EXPECT_EXIT(parseShardConnectKnob("--shard-connect", "a:b:c"),
-                ::testing::ExitedWithCode(2), "HOST:PORT");
-    EXPECT_EXIT(parseShardConnectKnob("--shard-connect", "h:port"),
-                ::testing::ExitedWithCode(2), "non-negative integer");
-    EXPECT_EXIT(parseShardConnectKnob("--shard-connect", "h:0"),
-                ::testing::ExitedWithCode(2), "1, 65535");
-    EXPECT_EXIT(parseShardConnectKnob("--shard-connect", "h:70000"),
-                ::testing::ExitedWithCode(2), "1, 65535");
+    for (const char *flag : {"--shard-connect=nohost", "--shard-connect=:9000",
+                             "--shard-connect=a:b:c"})
+        EXPECT_TRUE(rejects(flagError({flag}), "HOST:PORT")) << flag;
+    EXPECT_TRUE(rejects(flagError({"--shard-connect=h:port"}),
+                        "non-negative integer"));
+    EXPECT_TRUE(rejects(flagError({"--shard-connect=h:0"}), "1, 65535"));
+    EXPECT_TRUE(rejects(flagError({"--shard-connect=h:70000"}),
+                        "1, 65535"));
 }
 
 TEST(KnobParseDeath, ShardFlagCrossValidation)
 {
-    // IIFEs: EXPECT_EXIT is a macro, so brace-initializer commas in a
-    // plain compound statement would split into macro arguments.
-    EXPECT_EXIT(
-        ([] {
-            const char *argv[] = {"bench", "--shards=2",
-                                  "--shard-rank=2",
-                                  "--shard-connect=h:9000"};
-            parseCommonFlags(4, const_cast<char **>(argv));
-        }()),
-        ::testing::ExitedWithCode(2), "out of range");
-    EXPECT_EXIT(
-        ([] {
-            // The parser state is process-global; make sure no earlier
-            // test's --shard-connect satisfies the check in this child.
-            bench::shardBasePortRef() = 0;
-            const char *argv[] = {"bench", "--shards=2"};
-            parseCommonFlags(2, const_cast<char **>(argv));
-        }()),
-        ::testing::ExitedWithCode(2), "needs --shard-connect");
-    EXPECT_EXIT(parseOneFlag("--shards=0"),
-                ::testing::ExitedWithCode(2), "at least 1");
+    EXPECT_TRUE(rejects(flagError({"--shards=2", "--shard-rank=2",
+                                   "--shard-connect=h:9000"}),
+                        "out of range"));
+    EXPECT_TRUE(rejects(flagError({"--shards=2"}), "needs --shard-connect"));
+    EXPECT_TRUE(rejects(flagError({"--shards=0"}), "at least 1"));
+    EXPECT_TRUE(rejects(flagError({"--checkpoint-every=5"}),
+                        "--checkpoint-every=5 needs --checkpoint=PATH"));
 }
 
 TEST(KnobParse, ShardConnectRoundTrips)
 {
-    parseShardConnectKnob("--shard-connect", "10.1.2.3:9000");
-    EXPECT_EQ(bench::shardConnectHostRef(), "10.1.2.3");
-    EXPECT_EQ(bench::shardBasePortRef(), 9000u);
+    BenchFlags f;
+    ASSERT_EQ(parse({"--shard-connect=10.1.2.3:9000"}, f), "");
+    EXPECT_EQ(f.cluster.shard.connectHost, "10.1.2.3");
+    EXPECT_EQ(f.cluster.shard.basePort, 9000u);
 }
 
 TEST(KnobParseDeath, ShardConnectTimeoutMustFitAnInt)
 {
     // The transport keeps the deadline in an int: anything above
     // INT_MAX used to wrap negative and silently drop the deadline.
-    EXPECT_EXIT(parseOneFlag("--shard-connect-timeout=2147483648"),
-                ::testing::ExitedWithCode(2), "--shard-connect-timeout");
-    EXPECT_EXIT(parseOneFlag("--shard-connect-timeout=4294967295"),
-                ::testing::ExitedWithCode(2), "at most 2147483647");
-    EXPECT_EXIT(
-        {
-            setenv("FIRESIM_SHARD_CONNECT_TIMEOUT", "3000000000", 1);
-            parseCommonFlags(0, nullptr);
-        },
-        ::testing::ExitedWithCode(2), "FIRESIM_SHARD_CONNECT_TIMEOUT");
+    EXPECT_TRUE(rejects(flagError({"--shard-connect-timeout=2147483648"}),
+                        "--shard-connect-timeout"));
+    EXPECT_TRUE(rejects(flagError({"--shard-connect-timeout=4294967295"}),
+                        "at most 2147483647"));
 
-    parseOneFlag("--shard-connect-timeout=2147483647");
-    ClusterConfig cc;
-    bench::applyClusterFlags(cc);
-    EXPECT_EQ(cc.shard.connectTimeoutMs, INT_MAX);
-    parseOneFlag("--shard-connect-timeout=0");
+    BenchFlags f;
+    ASSERT_EQ(parse({"--shard-connect-timeout=2147483647"}, f), "");
+    EXPECT_EQ(f.cluster.shard.connectTimeoutMs, INT_MAX);
 }
 
 TEST(KnobParse, ShardTransportRoundTrips)
 {
-    EXPECT_EQ(bench::shardTransportRef(), TransportKind::Auto);
-    parseOneFlag("--shard-transport=shm");
-    EXPECT_EQ(bench::shardTransportRef(), TransportKind::Shm);
-    parseOneFlag("--shard-transport=tcp");
-    EXPECT_EQ(bench::shardTransportRef(), TransportKind::Tcp);
-    parseOneFlag("--shard-transport=unix");
-    EXPECT_EQ(bench::shardTransportRef(), TransportKind::Unix);
-    parseOneFlag("--shard-transport=auto");
-    EXPECT_EQ(bench::shardTransportRef(), TransportKind::Auto);
-    parseOneFlag("--shard-shm-ring=65536");
-    EXPECT_EQ(bench::shardShmRingRef(), 65536u);
+    BenchFlags f;
+    EXPECT_EQ(f.cluster.shard.transport, TransportKind::Auto);
+    for (auto [flag, kind] :
+         {std::pair{"--shard-transport=shm", TransportKind::Shm},
+          std::pair{"--shard-transport=tcp", TransportKind::Tcp},
+          std::pair{"--shard-transport=unix", TransportKind::Unix},
+          std::pair{"--shard-transport=auto", TransportKind::Auto}}) {
+        ASSERT_EQ(parse({flag}, f), "");
+        EXPECT_EQ(f.cluster.shard.transport, kind) << flag;
+    }
+    ASSERT_EQ(parse({"--shard-shm-ring=65536"}, f), "");
+    EXPECT_EQ(f.cluster.shard.shmRingBytes, 65536u);
 }
 
 TEST(KnobParseDeath, ShardTransportIsStrict)
 {
-    EXPECT_EXIT(parseOneFlag("--shard-transport=SHM"),
-                ::testing::ExitedWithCode(2), "auto, shm, tcp, or unix");
-    EXPECT_EXIT(parseOneFlag("--shard-transport=pcie"),
-                ::testing::ExitedWithCode(2), "--shard-transport");
-    EXPECT_EXIT(parseOneFlag("--shard-transport="),
-                ::testing::ExitedWithCode(2), "--shard-transport");
+    EXPECT_TRUE(rejects(flagError({"--shard-transport=SHM"}),
+                        "auto, shm, tcp, or unix"));
     // loopback is a real TransportKind but test-only: the knob parser
     // must not accept it from the command line.
-    EXPECT_EXIT(parseOneFlag("--shard-transport=loopback"),
-                ::testing::ExitedWithCode(2), "--shard-transport");
-    EXPECT_EXIT(parseOneFlag("--shard-shm-ring=1M"),
-                ::testing::ExitedWithCode(2), "--shard-shm-ring");
-    EXPECT_EXIT(parseOneFlag("--shard-shm-ring=0"),
-                ::testing::ExitedWithCode(2), "at least 1");
-    EXPECT_EXIT(
-        {
-            setenv("FIRESIM_SHARD_TRANSPORT", "fast", 1);
-            parseCommonFlags(0, nullptr);
-        },
-        ::testing::ExitedWithCode(2), "FIRESIM_SHARD_TRANSPORT");
+    for (const char *flag : {"--shard-transport=pcie", "--shard-transport=",
+                             "--shard-transport=loopback"})
+        EXPECT_TRUE(rejects(flagError({flag}), "--shard-transport")) << flag;
+    EXPECT_TRUE(rejects(flagError({"--shard-shm-ring=1M"}),
+                        "--shard-shm-ring"));
+    EXPECT_TRUE(rejects(flagError({"--shard-shm-ring=0"}), "at least 1"));
 }
 
 TEST(KnobParse, ShardPolicyAndProfileFlagsRoundTrip)
 {
-    EXPECT_EQ(bench::shardPolicyIdRef(), 0u) << "block is the default";
-    parseOneFlag("--shard-policy=cost");
-    EXPECT_EQ(bench::shardPolicyIdRef(), 1u);
-    parseOneFlag("--shard-policy=block");
-    EXPECT_EQ(bench::shardPolicyIdRef(), 0u);
-    parseOneFlag("--shard-profile-in=/tmp/fs.prof");
-    EXPECT_EQ(bench::shardProfileInRef(), "/tmp/fs.prof");
-    parseOneFlag("--shard-profile-out=/tmp/fs-out.prof");
-    EXPECT_EQ(bench::shardProfileOutRef(), "/tmp/fs-out.prof");
+    BenchFlags f;
+    EXPECT_EQ(f.cluster.shard.policy, ShardPolicy::Block)
+        << "block is the default";
+    ASSERT_EQ(parse({"--shard-policy=cost"}, f), "");
+    EXPECT_EQ(f.cluster.shard.policy, ShardPolicy::Cost);
+    ASSERT_EQ(parse({"--shard-policy=block"}, f), "");
+    EXPECT_EQ(f.cluster.shard.policy, ShardPolicy::Block);
+    ASSERT_EQ(parse({"--shard-profile-in=/tmp/fs.prof",
+                     "--shard-profile-out=/tmp/fs-out.prof"},
+                    f),
+              "");
+    EXPECT_EQ(f.cluster.shard.profileIn, "/tmp/fs.prof");
+    EXPECT_EQ(f.cluster.shard.profileOut, "/tmp/fs-out.prof");
 }
 
 TEST(KnobParseDeath, ShardPolicyIsStrict)
 {
-    EXPECT_EXIT(parseOneFlag("--shard-policy=greedy"),
-                ::testing::ExitedWithCode(2), "block or cost");
-    EXPECT_EXIT(parseOneFlag("--shard-policy="),
-                ::testing::ExitedWithCode(2), "--shard-policy");
-    EXPECT_EXIT(parseOneFlag("--shard-policy=Cost"),
-                ::testing::ExitedWithCode(2), "block or cost");
-    EXPECT_EXIT(
-        {
-            setenv("FIRESIM_SHARD_POLICY", "roundrobin", 1);
-            parseCommonFlags(0, nullptr);
-        },
-        ::testing::ExitedWithCode(2), "FIRESIM_SHARD_POLICY");
+    EXPECT_TRUE(rejects(flagError({"--shard-policy=greedy"}),
+                        "block or cost"));
+    EXPECT_TRUE(rejects(flagError({"--shard-policy="}), "--shard-policy"));
+    EXPECT_TRUE(rejects(flagError({"--shard-policy=Cost"}),
+                        "block or cost"));
 }
 
 TEST(KnobParse, StragglerAlphaRoundTrips)
 {
-    EXPECT_DOUBLE_EQ(bench::stragglerAlphaRef(), 0.2)
+    BenchFlags f;
+    EXPECT_DOUBLE_EQ(f.cluster.monitor.ewmaAlpha, 0.2)
         << "the monitor's default EWMA weight";
-    parseOneFlag("--straggler-alpha=0.5");
-    EXPECT_DOUBLE_EQ(bench::stragglerAlphaRef(), 0.5);
-    parseOneFlag("--straggler-alpha=1.0");
-    EXPECT_DOUBLE_EQ(bench::stragglerAlphaRef(), 1.0);
-    parseOneFlag("--straggler-alpha=.25");
-    EXPECT_DOUBLE_EQ(bench::stragglerAlphaRef(), 0.25);
+    for (auto [flag, want] : {std::pair{"--straggler-alpha=0.5", 0.5},
+                              std::pair{"--straggler-alpha=1.0", 1.0},
+                              std::pair{"--straggler-alpha=.25", 0.25}}) {
+        ASSERT_EQ(parse({flag}, f), "");
+        EXPECT_DOUBLE_EQ(f.cluster.monitor.ewmaAlpha, want) << flag;
+    }
 }
 
 TEST(KnobParseDeath, StragglerAlphaDemandsUnitInterval)
@@ -250,143 +307,86 @@ TEST(KnobParseDeath, StragglerAlphaDemandsUnitInterval)
     // The monitor folds alpha into a /256 fixed-point weight whose
     // complement underflows outside (0, 1]; the knob rejects those
     // values outright rather than silently clamping.
-    EXPECT_EXIT(parseOneFlag("--straggler-alpha=0"),
-                ::testing::ExitedWithCode(2), "value in");
-    EXPECT_EXIT(parseOneFlag("--straggler-alpha=0.0"),
-                ::testing::ExitedWithCode(2), "value in");
-    EXPECT_EXIT(parseOneFlag("--straggler-alpha=1.5"),
-                ::testing::ExitedWithCode(2), "value in");
-    EXPECT_EXIT(parseOneFlag("--straggler-alpha=-0.2"),
-                ::testing::ExitedWithCode(2), "--straggler-alpha");
-    EXPECT_EXIT(parseOneFlag("--straggler-alpha=fast"),
-                ::testing::ExitedWithCode(2), "--straggler-alpha");
-    EXPECT_EXIT(parseOneFlag("--straggler-alpha= 0.5"),
-                ::testing::ExitedWithCode(2), "--straggler-alpha");
-    EXPECT_EXIT(parseOneFlag("--straggler-alpha=0.5x"),
-                ::testing::ExitedWithCode(2), "--straggler-alpha");
-    EXPECT_EXIT(parseOneFlag("--straggler-alpha="),
-                ::testing::ExitedWithCode(2), "--straggler-alpha");
-    EXPECT_EXIT(
-        {
-            setenv("FIRESIM_STRAGGLER_ALPHA", "2.0", 1);
-            parseCommonFlags(0, nullptr);
-        },
-        ::testing::ExitedWithCode(2), "FIRESIM_STRAGGLER_ALPHA");
+    for (const char *flag : {"--straggler-alpha=0", "--straggler-alpha=0.0",
+                             "--straggler-alpha=1.5"})
+        EXPECT_TRUE(rejects(flagError({flag}), "value in")) << flag;
+    for (const char *flag :
+         {"--straggler-alpha=-0.2", "--straggler-alpha=fast",
+          "--straggler-alpha= 0.5", "--straggler-alpha=0.5x",
+          "--straggler-alpha="})
+        EXPECT_TRUE(rejects(flagError({flag}), "--straggler-alpha")) << flag;
 }
 
 TEST(KnobParse, ObservabilityFlagsRoundTrip)
 {
-    parseOneFlag("--heartbeat-every=64");
-    EXPECT_EQ(bench::heartbeatEveryRef(), 64u);
-    parseOneFlag("--status-interval=10");
-    EXPECT_EQ(bench::statusIntervalRef(), 10u);
-    parseOneFlag("--metrics-file=/tmp/fs.prom");
-    EXPECT_EQ(bench::metricsFileRef(), "/tmp/fs.prom");
-    parseOneFlag("--flight-recorder-depth=1024");
-    EXPECT_EQ(bench::flightRecorderDepthRef(), 1024u);
+    BenchFlags f;
+    ASSERT_EQ(parse({"--heartbeat-every=64", "--status-interval=10",
+                     "--metrics-file=/tmp/fs.prom",
+                     "--flight-recorder-depth=1024"},
+                    f),
+              "");
+    EXPECT_EQ(f.cluster.monitor.heartbeatEvery, 64u);
+    EXPECT_EQ(f.cluster.monitor.statusIntervalSec, 10u);
+    EXPECT_EQ(f.cluster.monitor.metricsPath, "/tmp/fs.prom");
+    EXPECT_EQ(f.cluster.flightRecorder.depth, 1024u);
     // The bare switch must not be shadowed by its =N-suffixed sibling
     // (both start with "--flight-recorder").
-    EXPECT_FALSE(bench::flightRecorderRef());
-    parseOneFlag("--flight-recorder");
-    EXPECT_TRUE(bench::flightRecorderRef());
-    EXPECT_EQ(bench::flightRecorderDepthRef(), 1024u);
+    EXPECT_FALSE(f.cluster.flightRecorder.enabled);
+    ASSERT_EQ(parse({"--flight-recorder"}, f), "");
+    EXPECT_TRUE(f.cluster.flightRecorder.enabled);
+    EXPECT_TRUE(f.cluster.flightRecorder.installSignalHandler);
+    EXPECT_EQ(f.cluster.flightRecorder.depth, 1024u);
 }
 
 TEST(KnobParseDeath, ObservabilityFlagsShareTheStrictParser)
 {
-    EXPECT_EXIT(parseOneFlag("--heartbeat-every=8x"),
-                ::testing::ExitedWithCode(2), "--heartbeat-every");
-    EXPECT_EXIT(parseOneFlag("--status-interval= 5"),
-                ::testing::ExitedWithCode(2), "--status-interval");
-    EXPECT_EXIT(parseOneFlag("--flight-recorder-depth=abc"),
-                ::testing::ExitedWithCode(2),
-                "--flight-recorder-depth");
+    EXPECT_TRUE(rejects(flagError({"--heartbeat-every=8x"}),
+                        "--heartbeat-every"));
+    EXPECT_TRUE(rejects(flagError({"--status-interval= 5"}),
+                        "--status-interval"));
+    EXPECT_TRUE(rejects(flagError({"--flight-recorder-depth=abc"}),
+                        "--flight-recorder-depth"));
     // Depth 0 parses but fails cross-validation: a zero-slot ring
     // records nothing and the FlightRecorder refuses to build one.
-    EXPECT_EXIT(parseOneFlag("--flight-recorder-depth=0"),
-                ::testing::ExitedWithCode(2), "at least 1");
-    EXPECT_EXIT(
-        {
-            setenv("FIRESIM_HEARTBEAT_EVERY", "1h", 1);
-            parseCommonFlags(0, nullptr);
-        },
-        ::testing::ExitedWithCode(2), "FIRESIM_HEARTBEAT_EVERY");
-    EXPECT_EXIT(
-        {
-            setenv("FIRESIM_FLIGHT_RECORDER_DEPTH", "-1", 1);
-            parseCommonFlags(0, nullptr);
-        },
-        ::testing::ExitedWithCode(2), "FIRESIM_FLIGHT_RECORDER_DEPTH");
+    EXPECT_TRUE(rejects(flagError({"--flight-recorder-depth=0"}),
+                        "at least 1"));
 }
 
 TEST(KnobParse, DecodeCacheFlagsRoundTrip)
 {
     // Default: on, 32Ki entries.
-    EXPECT_TRUE(bench::decodeCacheRef());
-    parseOneFlag("--decode-cache=off");
-    EXPECT_FALSE(bench::decodeCacheRef());
-    parseOneFlag("--decode-cache=on");
-    EXPECT_TRUE(bench::decodeCacheRef());
+    BenchFlags f;
+    EXPECT_TRUE(f.cluster.hart.decodeCache);
+    ASSERT_EQ(parse({"--decode-cache=off"}, f), "");
+    EXPECT_FALSE(f.cluster.hart.decodeCache);
+    ASSERT_EQ(parse({"--decode-cache=on"}, f), "");
+    EXPECT_TRUE(f.cluster.hart.decodeCache);
     // The =N-suffixed sibling must not be swallowed by the shorter
-    // prefix (both start with "--decode-cache").
-    parseOneFlag("--decode-cache-entries=4096");
-    EXPECT_EQ(bench::decodeCacheEntriesRef(), 4096u);
-    EXPECT_TRUE(bench::decodeCacheRef());
+    // name (both start with "--decode-cache").
+    ASSERT_EQ(parse({"--decode-cache-entries=4096"}, f), "");
+    EXPECT_EQ(f.cluster.hart.decodeCacheEntries, 4096u);
+    EXPECT_TRUE(f.cluster.hart.decodeCache);
 }
 
 TEST(KnobParseDeath, DecodeCacheFlagIsStrictOnOff)
 {
-    EXPECT_EXIT(parseOneFlag("--decode-cache=1"),
-                ::testing::ExitedWithCode(2), "on or off");
-    EXPECT_EXIT(parseOneFlag("--decode-cache=ON"),
-                ::testing::ExitedWithCode(2), "on or off");
-    EXPECT_EXIT(parseOneFlag("--decode-cache="),
-                ::testing::ExitedWithCode(2), "on or off");
-    EXPECT_EXIT(parseOneFlag("--decode-cache= on"),
-                ::testing::ExitedWithCode(2), "on or off");
-    EXPECT_EXIT(parseOneFlag("--decode-cache=off "),
-                ::testing::ExitedWithCode(2), "on or off");
+    for (const char *flag :
+         {"--decode-cache=1", "--decode-cache=ON", "--decode-cache=",
+          "--decode-cache= on", "--decode-cache=off "})
+        EXPECT_TRUE(rejects(flagError({flag}), "on or off")) << flag;
 }
 
 TEST(KnobParseDeath, DecodeCacheEntriesShareTheStrictParser)
 {
-    EXPECT_EXIT(parseOneFlag("--decode-cache-entries=-1"),
-                ::testing::ExitedWithCode(2), "--decode-cache-entries");
-    EXPECT_EXIT(parseOneFlag("--decode-cache-entries=abc"),
-                ::testing::ExitedWithCode(2), "--decode-cache-entries");
-    EXPECT_EXIT(parseOneFlag("--decode-cache-entries= 8"),
-                ::testing::ExitedWithCode(2), "--decode-cache-entries");
-    EXPECT_EXIT(parseOneFlag("--decode-cache-entries=8 "),
-                ::testing::ExitedWithCode(2), "--decode-cache-entries");
+    for (const char *flag :
+         {"--decode-cache-entries=-1", "--decode-cache-entries=abc",
+          "--decode-cache-entries= 8", "--decode-cache-entries=8 "})
+        EXPECT_TRUE(rejects(flagError({flag}), "--decode-cache-entries"))
+            << flag;
     // 0 parses but fails cross-validation: a zero-entry cache can
     // serve nothing.
-    EXPECT_EXIT(parseOneFlag("--decode-cache-entries=0"),
-                ::testing::ExitedWithCode(2), "at least 1");
-}
-
-TEST(KnobParseDeath, DecodeCacheEnvPathIsStrictToo)
-{
-    EXPECT_EXIT(
-        {
-            setenv("FIRESIM_DECODE_CACHE", "true", 1);
-            parseCommonFlags(0, nullptr);
-        },
-        ::testing::ExitedWithCode(2), "FIRESIM_DECODE_CACHE");
-    EXPECT_EXIT(
-        {
-            setenv("FIRESIM_DECODE_CACHE_ENTRIES", "64k", 1);
-            parseCommonFlags(0, nullptr);
-        },
-        ::testing::ExitedWithCode(2), "FIRESIM_DECODE_CACHE_ENTRIES");
-}
-
-TEST(KnobParse, DecodeCacheFlagOverridesEnv)
-{
-    // Flags win over the environment, same as every other knob.
-    setenv("FIRESIM_DECODE_CACHE", "off", 1);
-    parseOneFlag("--decode-cache=on");
-    EXPECT_TRUE(bench::decodeCacheRef());
-    unsetenv("FIRESIM_DECODE_CACHE");
+    EXPECT_TRUE(rejects(flagError({"--decode-cache-entries=0"}),
+                        "at least 1"));
 }
 
 } // namespace
