@@ -76,14 +76,11 @@ BlockDevice::request(bool write, uint64_t mem_addr, uint32_t sector,
 
     eq.scheduleIn(delay, [this, write, mem_addr, sector, count, bytes, id] {
         uint64_t dev_addr = static_cast<uint64_t>(sector) * kSectorBytes;
-        std::vector<uint8_t> buf(bytes);
         if (write) {
-            mem.read(mem_addr, buf.data(), bytes);
-            storage.write(dev_addr, buf.data(), bytes);
+            storage.copyFrom(mem, mem_addr, dev_addr, bytes);
             ++stats_.writes;
         } else {
-            storage.read(dev_addr, buf.data(), bytes);
-            mem.write(mem_addr, buf.data(), bytes);
+            mem.copyFrom(storage, dev_addr, mem_addr, bytes);
             ++stats_.reads;
         }
         stats_.sectorsMoved += count;

@@ -87,6 +87,36 @@ FunctionalMemory::write(uint64_t addr, const void *src, uint64_t len)
 }
 
 void
+FunctionalMemory::copyFrom(const FunctionalMemory &src, uint64_t src_addr,
+                           uint64_t addr, uint64_t len)
+{
+    FS_ASSERT(&src != this, "copyFrom within one memory");
+    FS_ASSERT(src_addr + len <= src.capacity && src_addr + len >= src_addr,
+              "read [%llx,+%llu) out of bounds (capacity %llx)",
+              (unsigned long long)src_addr, (unsigned long long)len,
+              (unsigned long long)src.capacity);
+    FS_ASSERT(addr + len <= capacity && addr + len >= addr,
+              "write [%llx,+%llu) out of bounds (capacity %llx)",
+              (unsigned long long)addr, (unsigned long long)len,
+              (unsigned long long)capacity);
+    if (!watches.empty())
+        noteWrite(addr, len);
+    while (len > 0) {
+        uint64_t chunk = std::min({len, kPageBytes - addr % kPageBytes,
+                                   kPageBytes - src_addr % kPageBytes});
+        uint8_t *to = pageFor(addr, true) + addr % kPageBytes;
+        const uint8_t *from = src.pageFor(src_addr, false);
+        if (from)
+            std::memcpy(to, from + src_addr % kPageBytes, chunk);
+        else
+            std::memset(to, 0, chunk);
+        addr += chunk;
+        src_addr += chunk;
+        len -= chunk;
+    }
+}
+
+void
 FunctionalMemory::snapshotSave(Serializer &s) const
 {
     s.putU(capacity);

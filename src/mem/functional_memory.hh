@@ -70,6 +70,17 @@ class FunctionalMemory
     void write(uint64_t addr, const void *src, uint64_t len);
 
     /**
+     * Copy @p len bytes at @p src_addr of another memory @p src into
+     * this one at @p addr, page run by page run — a DMA between two
+     * memories without a staging buffer. The effect is exactly that of
+     * src.read() into a buffer followed by write(): every destination
+     * page is allocated (a source page never written copies as zeros)
+     * and code watchers are notified over the whole range.
+     */
+    void copyFrom(const FunctionalMemory &src, uint64_t src_addr,
+                  uint64_t addr, uint64_t len);
+
+    /**
      * Little-endian scalar accessors used by the RISC-V core. Inlined
      * fast path: when the access falls entirely inside the cached
      * last-touched page it is a single memcpy; page-crossing, uncached

@@ -249,8 +249,10 @@ Nic::writerPump()
     uint32_t len = pkt.frame.size();
     Cycles dma = cfg.dmaStartLatency +
         static_cast<Cycles>(std::ceil(len / cfg.dmaBytesPerCycle));
-    eq.scheduleIn(dma, [this, addr, pkt = std::move(pkt), len] {
-        mem.write(addr, pkt.frame.bytes.data(), len);
+    // Capture only the bytes: the closure then fits the event queue's
+    // inline callback storage.
+    eq.scheduleIn(dma, [this, addr, bytes = std::move(pkt.frame.bytes), len] {
+        mem.write(addr, bytes.data(), len);
         rxBufOccupied -= len;
         // "The writer sends a completion to the controller only after
         // all writes for the packet have retired."

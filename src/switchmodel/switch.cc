@@ -110,7 +110,7 @@ Switch::advanceBegin(Cycles window_start, Cycles window,
               "switch %s handed %zu/%zu batches for %u ports",
               cfg.name.c_str(), in.size(), out.size(), cfg.ports);
     // The serial prologue owns the shared state (assemblers, the
-    // pending priority queue, output queues, stats) exclusively — it is
+    // pending packets, output queues, stats) exclusively — it is
     // a single advance unit, so updating stats_ directly is safe here.
     ingress(window_start, in);
     switchingStep();
@@ -168,7 +168,7 @@ Switch::ingress(Cycles window_start, const std::vector<const TokenBatch *> &in)
                 qp.release = frame.timestamp + cfg.minLatency;
                 qp.seq = nextSeq++;
                 qp.frame = std::move(frame);
-                pending.push(std::move(qp));
+                pending.push_back(std::move(qp));
             }
         }
     }
@@ -201,33 +201,33 @@ Switch::insertInQueue(OutputPort &port, QueuedPacket &&packet)
 void
 Switch::switchingStep()
 {
-    // Drain the timestamp-sorted priority queue into output port
+    // Drain this round's packets in timestamp order into output port
     // buffers via the forwarding policy (default: static MAC table,
-    // duplicating for broadcast/flood).
-    std::vector<uint32_t> out_ports;
-    while (!pending.empty()) {
-        QueuedPacket qp = pending.top();
-        pending.pop();
-        out_ports.clear();
-        route(qp.frame, out_ports);
+    // duplicating for broadcast/flood). The whole round is switched at
+    // once, so one sort stands in for the priority queue: (release,
+    // seq) is a total order, and the drain order is the pop order. A
+    // packet is moved to its last output port and copied only for the
+    // ports before it.
+    std::sort(pending.begin(), pending.end(), PendingCmp{});
+    for (QueuedPacket &qp : pending) {
+        outPorts.clear();
+        route(qp.frame, outPorts);
         if (qp.frame.dst().isBroadcast())
             ++stats_.broadcasts;
-        for (uint32_t p : out_ports)
-            enqueueOutput(p, qp.frame, qp.release, qp.seq);
+        for (size_t i = 0; i + 1 < outPorts.size(); ++i)
+            enqueueOutput(outPorts[i], QueuedPacket(qp));
+        if (!outPorts.empty())
+            enqueueOutput(outPorts.back(), std::move(qp));
     }
+    pending.clear();
 }
 
 void
-Switch::enqueueOutput(uint32_t port, const EthFrame &frame, Cycles release,
-                      uint64_t seq)
+Switch::enqueueOutput(uint32_t port, QueuedPacket &&packet)
 {
     FS_ASSERT(port < cfg.ports, "route() returned port %u of %u", port,
               cfg.ports);
-    QueuedPacket qp;
-    qp.frame = frame;
-    qp.release = release;
-    qp.seq = seq;
-    insertInQueue(outputs[port], std::move(qp));
+    insertInQueue(outputs[port], std::move(packet));
 }
 
 void
@@ -369,17 +369,10 @@ Switch::snapshotSave(Serializer &s) const
     for (const FrameAssembler &a : assemblers)
         saveAssembler(s, a);
 
-    // The pending heap in canonical (release, seq) order: the physical
-    // heap layout depends on insertion history, but the comparator is a
-    // total order, so a heap rebuilt from the sorted sequence pops
-    // identically.
-    std::vector<QueuedPacket> pend(pqUnderlying(pending));
-    std::sort(pend.begin(), pend.end(),
-              [](const QueuedPacket &a, const QueuedPacket &b) {
-                  if (a.release != b.release)
-                      return a.release < b.release;
-                  return a.seq < b.seq;
-              });
+    // Pending packets in canonical (release, seq) order, the order the
+    // switching step drains them in.
+    std::vector<QueuedPacket> pend(pending);
+    std::sort(pend.begin(), pend.end(), PendingCmp{});
     s.putU(pend.size());
     for (const QueuedPacket &p : pend)
         savePacket(p);
@@ -435,10 +428,10 @@ Switch::snapshotRestore(Deserializer &d, SnapshotErrors &err)
     for (FrameAssembler &a : assemblers)
         restoreAssembler(d, a);
 
-    pending = {};
+    pending.clear();
     n = d.getU();
     for (uint64_t i = 0; i < n && d.ok(); ++i)
-        pending.push(readPacket());
+        pending.push_back(readPacket());
 
     for (OutputPort &out : outputs) {
         out.queue.clear();

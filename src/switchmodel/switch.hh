@@ -32,7 +32,6 @@
 #include <deque>
 #include <map>
 #include <optional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -246,8 +245,7 @@ class Switch : public TokenEndpoint
                     TokenBatch &out, EgressScratch &scratch);
     void foldScratch(const EgressScratch &scratch);
 
-    void enqueueOutput(uint32_t port, const EthFrame &frame,
-                       Cycles release, uint64_t seq);
+    void enqueueOutput(uint32_t port, QueuedPacket &&packet);
 
     SwitchConfig cfg;
     SwitchStats stats_;
@@ -256,19 +254,20 @@ class Switch : public TokenEndpoint
 
     std::vector<FrameAssembler> assemblers;      //!< per input port
     /** Packets completed at ingress this round, pending the switching
-     *  step; ordered by (timestamp, seq) in a priority queue. */
+     *  step, which drains them in (timestamp, seq) order. */
     struct PendingCmp
     {
         bool
         operator()(const QueuedPacket &a, const QueuedPacket &b) const
         {
             if (a.release != b.release)
-                return a.release > b.release;
-            return a.seq > b.seq;
+                return a.release < b.release;
+            return a.seq < b.seq;
         }
     };
-    std::priority_queue<QueuedPacket, std::vector<QueuedPacket>,
-                        PendingCmp> pending;
+    std::vector<QueuedPacket> pending;
+    /** route() output of the packet being switched (scratch). */
+    std::vector<uint32_t> outPorts;
     std::vector<OutputPort> outputs;
     uint64_t nextSeq = 0;
     uint64_t bytesOutSinceQuery = 0;

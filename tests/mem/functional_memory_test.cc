@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "mem/functional_memory.hh"
+#include "snapshot/serial.hh"
 
 namespace firesim
 {
@@ -68,6 +73,78 @@ TEST(FunctionalMemory, SparseAllocationStaysSmall)
     mem.write64(16 * GiB - 8, 3);
     EXPECT_EQ(mem.allocatedPages(), 3u);
     EXPECT_EQ(mem.read64(8 * GiB), 2u);
+}
+
+/** Logs every onCodeWrite() call a memory makes. */
+struct WriteLog : CodeWriteWatch
+{
+    std::vector<std::pair<uint64_t, uint64_t>> calls;
+
+    void
+    onCodeWrite(uint64_t addr, uint64_t len) override
+    {
+        calls.emplace_back(addr, len);
+    }
+};
+
+TEST(FunctionalMemory, CopyFromMatchesAStagingBufferCopy)
+{
+    constexpr uint64_t kPage = FunctionalMemory::kPageBytes;
+    // Source: page 0 partly written, page 1 never written (reads as
+    // zeros), page 2 full, page 3 never written, page 4 partly.
+    FunctionalMemory src(1 * MiB);
+    std::vector<uint8_t> pattern(kPage);
+    for (size_t i = 0; i < pattern.size(); ++i)
+        pattern[i] = static_cast<uint8_t>(i * 7 + 1);
+    src.write(100, pattern.data(), 3000);
+    src.write(2 * kPage, pattern.data(), kPage);
+    src.write(4 * kPage + 17, pattern.data(), 900);
+
+    // (src_addr, dst_addr, len): aligned, misaligned on both sides,
+    // spans of absent source pages, and a copy inside one page.
+    const std::tuple<uint64_t, uint64_t, uint64_t> cases[] = {
+        {0, 0, 5 * kPage},
+        {50, 8 * kPage + 3000, 4 * kPage + 123},
+        {kPage + 5, 20 * kPage + 4090, 2 * kPage},
+        {2 * kPage + 10, 30 * kPage + 100, 200},
+        {3 * kPage, 40 * kPage, kPage},
+    };
+    for (const auto &[src_addr, dst_addr, len] : cases) {
+        FunctionalMemory direct(1 * MiB), staged(1 * MiB);
+        WriteLog direct_log, staged_log;
+        for (auto [mem, log] : {std::pair(&direct, &direct_log),
+                                std::pair(&staged, &staged_log)}) {
+            // Stale destination data that the copy must overwrite,
+            // zeros included, and a watch window over the copy's tail.
+            std::vector<uint8_t> stale(3 * kPage, 0xee);
+            mem->write(dst_addr + len / 2, stale.data(), stale.size());
+            log->watchLo = dst_addr + len - 64;
+            log->watchHi = dst_addr + len + 64;
+            mem->addCodeWatch(log);
+        }
+
+        direct.copyFrom(src, src_addr, dst_addr, len);
+        std::vector<uint8_t> buf(len);
+        src.read(src_addr, buf.data(), len);
+        staged.write(dst_addr, buf.data(), len);
+
+        EXPECT_EQ(direct.allocatedPages(), staged.allocatedPages());
+        EXPECT_EQ(direct_log.calls, staged_log.calls);
+        EXPECT_EQ(direct_log.calls.size(), 1u);
+        std::vector<uint8_t> got(len);
+        direct.read(dst_addr, got.data(), len);
+        EXPECT_EQ(got, buf);
+        // Snapshots store exactly the allocated pages and their bytes.
+        Serializer a, b;
+        direct.snapshotSave(a);
+        staged.snapshotSave(b);
+        EXPECT_EQ(a.bytes(), b.bytes())
+            << "src " << src_addr << " dst " << dst_addr << " len " << len;
+        direct.removeCodeWatch(&direct_log);
+        staged.removeCodeWatch(&staged_log);
+    }
+    // The source is only read: no page appears in it.
+    EXPECT_EQ(src.allocatedPages(), 3u);
 }
 
 TEST(FunctionalMemoryDeath, OutOfBoundsRejected)
