@@ -270,31 +270,6 @@ inline constexpr FlagRow kFlagTable[] = {
      [](const char *flag, const char *text, BenchFlags &f) {
          return parseUnsignedKnob(flag, text, f.cluster.shard.shmRingBytes);
      }},
-    // Server->rank placement: block (default) | cost (needs
-    // --shard-profile-in from a prior measured run).
-    {"--shard-policy", "P", kShardGroup,
-     [](const char *flag, const char *text, BenchFlags &f) {
-         if (std::strcmp(text, "block") == 0)
-             f.cluster.shard.policy = ShardPolicy::Block;
-         else if (std::strcmp(text, "cost") == 0)
-             f.cluster.shard.policy = ShardPolicy::Cost;
-         else
-             return errorf("%s expects block or cost, got '%s'", flag, text);
-         return std::string();
-     }},
-    // Measured deployment profile feeding the cost-aware mapper
-    // (sharded writers' `<path>.rank<k>` files merge automatically).
-    {"--shard-profile-in", "PATH", kShardGroup,
-     [](const char *, const char *text, BenchFlags &f) {
-         f.cluster.shard.profileIn = text;
-         return std::string();
-     }},
-    // Write this run's measured deployment profile at teardown.
-    {"--shard-profile-out", "PATH", kShardGroup,
-     [](const char *, const char *text, BenchFlags &f) {
-         f.cluster.shard.profileOut = text;
-         return std::string();
-     }},
     // Snapshot file for periodic + final checkpoints.
     {"--checkpoint", "PATH", kCheckpointGroup,
      [](const char *, const char *text, BenchFlags &f) {

@@ -35,49 +35,21 @@ namespace
 {
 
 /**
- * Resolve this cluster's shard plan: an explicit owner map wins, then
- * the configured policy. Everything here is a pure function of the
- * shared config, so every rank independently computes the same plan;
- * planHash double-checks that at rendezvous.
+ * Resolve this cluster's shard plan: an explicit owner map if given,
+ * else the block split. Both are pure functions of the shared config,
+ * so every rank independently computes the same plan; planHash
+ * double-checks that at rendezvous.
  */
 ShardPlan
 planFor(const SwitchSpec &topo, const ClusterConfig &cfg)
 {
     const ShardSpec &ss = cfg.shard;
-    auto build = [&](auto... owners) {
+    if (!ss.owners.empty())
         return ShardPlan::build(topo, ss.shards, cfg.linkLatency,
                                 cfg.switchLatency, cfg.functionalWindow,
-                                owners...);
-    };
-    if (!ss.owners.empty())
-        return build(ss.owners);
-    if (ss.shards == 1 || ss.policy != ShardPolicy::Cost)
-        return build();
-
-    DeploymentProfile profile;
-    if (!ss.profileIn.empty()) {
-        std::string perr;
-        profile = DeploymentProfile::loadMerged(ss.profileIn, &perr);
-        if (!perr.empty())
-            fatal("--shard-profile-in: %s", perr.c_str());
-        if (profile.empty())
-            warn("shard %u: deployment profile %s is empty or missing; "
-                 "cost policy degrades to uniform weights",
-                 ss.rank, ss.profileIn.c_str());
-        else if (std::none_of(profile.serverCostNs.begin(),
-                              profile.serverCostNs.end(),
-                              [](double c) { return c > 0; }))
-            warn("shard %u: deployment profile %s has link traffic but "
-                 "no measured server cost (server costs are measured "
-                 "only with --parallel-hosts >= 2); cost policy uses "
-                 "uniform server weights",
-                 ss.rank, ss.profileIn.c_str());
-    } else {
-        warn("shard %u: --shard-policy=cost without --shard-profile-in; "
-             "using uniform weights",
-             ss.rank);
-    }
-    return build(computeCostOwners(build(), profile));
+                                ss.owners);
+    return ShardPlan::build(topo, ss.shards, cfg.linkLatency,
+                            cfg.switchLatency, cfg.functionalWindow);
 }
 
 } // namespace
@@ -342,7 +314,6 @@ Cluster::~Cluster()
         telemetry_->dumpAtExit(fabric_.now());
         writeMergedDumps();
     }
-    writeDeploymentProfile();
 }
 
 void
@@ -718,55 +689,6 @@ Cluster::statsReport()
     }
     out += nd.render();
     return out;
-}
-
-DeploymentProfile
-Cluster::deploymentProfile() const
-{
-    DeploymentProfile prof;
-    prof.topoHash = plan_.topoHash;
-    prof.serverCostNs.assign(plan_.nServers, 0.0);
-    prof.linkFlits.assign(plan_.links.size() * 2, 0);
-
-    for (size_t i = 0; i < nodes.size(); ++i) {
-        int ep = fabric_.endpointIndexOf(nodes[i]->name());
-        if (ep >= 0)
-            prof.serverCostNs[nodeGlobal[i]] =
-                fabric_.endpointCostNs(static_cast<size_t>(ep));
-    }
-
-    // Local channels count the flits they moved; each directed link's
-    // channel lives on exactly one rank, so no double counting within a
-    // rank's own wiring.
-    for (size_t c = 0; c < channelGlobalLink.size() &&
-                       c < fabric_.channelCount(); ++c) {
-        uint32_t gid = channelGlobalLink[c];
-        if (gid < prof.linkFlits.size())
-            prof.linkFlits[gid] = fabric_.channelAt(c).flitsMoved();
-    }
-
-    // Cross-shard links: the TX side knows what it actually shipped.
-    if (transport_) {
-        for (auto [gid, flits] : transport_->txLinkFlits())
-            if (flits && gid < prof.linkFlits.size())
-                prof.linkFlits[gid] = flits;
-    }
-    return prof;
-}
-
-void
-Cluster::writeDeploymentProfile()
-{
-    if (cfg.shard.profileOut.empty())
-        return;
-    DeploymentProfile prof = deploymentProfile();
-    std::string path = cfg.shard.shards > 1
-        ? snapshotRankPath(cfg.shard.profileOut, cfg.shard.shards,
-                           cfg.shard.rank)
-        : cfg.shard.profileOut;
-    std::string err = prof.saveFile(path);
-    if (!err.empty())
-        warn("deployment profile: %s", err.c_str());
 }
 
 } // namespace firesim

@@ -33,7 +33,6 @@
 #include "fault/fault_plan.hh"
 #include "fault/health_monitor.hh"
 #include "fault/injector.hh"
-#include "manager/deploy.hh"
 #include "manager/shard.hh"
 #include "manager/topology.hh"
 #include "net/fabric.hh"
@@ -264,16 +263,6 @@ class Cluster
      *  (single-process runs carry the trivial 1-shard plan). */
     const ShardPlan &plan() const { return plan_; }
 
-    /**
-     * This rank's measured deployment profile: per-server advance
-     * cost (the fabric's per-unit EWMA, nonzero only with
-     * parallelHosts >= 2) and per-global-link token traffic (channel flit counters
-     * plus the transport's cross-shard TX counters). Written to
-     * ShardSpec::profileOut at destruction; feed it back via
-     * profileIn with --shard-policy=cost.
-     */
-    DeploymentProfile deploymentProfile() const;
-
     // ---- Checkpoint / restore (manager/checkpoint.cc) ----------------
 
     /**
@@ -337,10 +326,6 @@ class Cluster
     /** Rank 0, dumpDir set: write the merged cross-shard dumps. */
     void writeMergedDumps();
 
-    /** ShardSpec::profileOut set: write this rank's measured profile
-     *  (called from the destructor). */
-    void writeDeploymentProfile();
-
     SwitchSpec topo;
     ClusterConfig cfg;
     /** The shard plan the build derives its wiring from; trivial
@@ -350,8 +335,7 @@ class Cluster
     // mode): switchGlobal[i] is the global index of switches[i],
     // nodeGlobal[i] of nodes[i]. channelGlobalLink[c] is the global
     // directed link id carried by fabric channel c — the key re-shard
-    // restore and the deployment profile use to re-home per-channel
-    // state across ranks.
+    // restore uses to re-home per-channel state across ranks.
     std::vector<uint32_t> switchGlobal;
     std::vector<uint32_t> nodeGlobal;
     std::vector<uint32_t> channelGlobalLink;

@@ -22,11 +22,6 @@ nowNs()
             .count());
 }
 
-/** EWMA smoothing factor for unit costs: heavy enough to track
- *  boot->idle phase changes within a few rounds, light enough to ride
- *  out timer noise. */
-constexpr double kCostEwmaAlpha = 0.25;
-
 } // namespace
 
 void
@@ -77,15 +72,6 @@ SchedTelemetry::maxMeanBusyRatio() const
     if (sumMeanBusyNs <= 0.0 || workers.empty())
         return 0.0;
     return static_cast<double>(sumMaxBusyNs) / sumMeanBusyNs;
-}
-
-void
-TokenFabric::AdvanceUnit::recordCost(uint64_t ns)
-{
-    double m = static_cast<double>(std::max<uint64_t>(ns, 1));
-    costNs = costNs == 0.0 ? m
-                           : kCostEwmaAlpha * m +
-                                 (1.0 - kCostEwmaAlpha) * costNs;
 }
 
 void
@@ -234,7 +220,6 @@ TokenChannel::push(TokenBatch &&batch)
     pushAt += quant;
     if (batch.flits.empty())
         return false;
-    flitCount += batch.flits.size();
     batch.start += lat;
     enqueue(Stored{std::move(batch), kNoCycle});
     return true;
@@ -244,7 +229,6 @@ void
 TokenChannel::pushRaw(TokenBatch batch)
 {
     batch.start += lat;
-    flitCount += batch.flits.size();
     enqueue(Stored{std::move(batch), pushAt});
     ++raws;
 }
@@ -414,9 +398,6 @@ TokenFabric::setParallelHosts(unsigned hosts)
     workers = width ? std::make_unique<ThreadPool>(width) : nullptr;
     // Measurements from another width do not describe this one.
     schedTel.reset(width);
-    for (std::vector<AdvanceUnit> *units : {&beginUnits, &mainUnits})
-        for (AdvanceUnit &u : *units)
-            u.costNs = 0.0;
 }
 
 void
@@ -618,17 +599,6 @@ TokenFabric::batchAllocations() const
     return n;
 }
 
-double
-TokenFabric::endpointCostNs(size_t idx) const
-{
-    double total = 0.0;
-    for (const std::vector<AdvanceUnit> *units : {&beginUnits, &mainUnits})
-        for (const AdvanceUnit &u : *units)
-            if (u.endpoint == idx)
-                total += u.costNs;
-    return total;
-}
-
 bool
 TokenFabric::reportAnomaly(FabricObserver::Anomaly kind,
                            size_t endpoint_idx, uint32_t port,
@@ -812,26 +782,20 @@ TokenFabric::execUnit(const AdvanceUnit &unit)
 }
 
 void
-TokenFabric::dispatchUnits(std::vector<AdvanceUnit> &units)
+TokenFabric::dispatchUnits(const std::vector<AdvanceUnit> &units)
 {
     if (units.empty())
         return;
     workers->parallelRun([this, &units](unsigned w) {
-        // Each unit belongs to exactly one worker, so its cost and this
-        // worker's telemetry slots are written by one thread only.
+        // This worker's telemetry slots are written by it alone.
         size_t width = workers->width();
         uint64_t busy = 0, run = 0;
         for (size_t i = w; i < units.size(); i += width) {
-            if (!endpoints[units[i].endpoint].runs) {
-                // Costs nothing this round; the clamp records 1 ns, so
-                // a mostly idle endpoint reads as cheap.
-                units[i].recordCost(0);
+            if (!endpoints[units[i].endpoint].runs)
                 continue;
-            }
             uint64_t t0 = nowNs();
             execUnit(units[i]);
             uint64_t ns = nowNs() - t0;
-            units[i].recordCost(ns);
             busy += ns;
             ++run;
         }

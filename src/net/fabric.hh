@@ -236,13 +236,6 @@ class TokenChannel
         return static_cast<size_t>((pushAt - popAt) / quant) + raws;
     }
 
-    /** Total flits pushed through this channel since construction —
-     *  the deployment mapper's per-link traffic signal
-     *  (manager/deploy). Deterministic (a pure function of the
-     *  simulation), but deliberately not part of the snapshot state:
-     *  a restored run re-counts from its replay. */
-    uint64_t flitsMoved() const { return flitCount; }
-
     /** Steady-state depth: latency/quantum batches are always in flight. */
     size_t expectedDepth() const
     {
@@ -304,7 +297,6 @@ class TokenChannel
 
     Cycles lat;
     Cycles quant;
-    uint64_t flitCount = 0; //!< flits pushed (host-side accounting)
     std::string lbl = "unnamed-channel";
     Cycles pushAt = 0; //!< arrival window of the next push
     Cycles popAt = 0;  //!< arrival window of the next pop
@@ -779,18 +771,6 @@ class TokenFabric
     int txChannelOf(size_t endpoint_idx, uint32_t port) const;
 
     /**
-     * Measured advance cost of endpoint @p idx in ns per round: the
-     * per-unit EWMA summed over the endpoint's advance units (begin +
-     * slices or the monolithic advance). 0 until measured — units are
-     * timed only with parallelHosts >= 2, and a pool width change
-     * starts the measurement over. A dispatched round in which the
-     * endpoint is not advanced counts as a 1 ns sample. Host-side
-     * accounting for the deployment mapper (manager/deploy); never
-     * part of the deterministic simulation surface.
-     */
-    double endpointCostNs(size_t idx) const;
-
-    /**
      * Testing hook: permute the endpoint stepping order. Results must
      * not change (decoupled determinism); property tests rely on this.
      */
@@ -879,16 +859,6 @@ class TokenFabric
         static_assert(kWholeEndpoint != FabricObserver::kBeginSlice);
         uint32_t endpoint = 0;
         int32_t slice = kWholeEndpoint;
-        /** EWMA of the unit's measured advance wall time in ns; 0.0
-         *  means never measured. Written only by the worker that runs
-         *  the unit; the dispatch barrier publishes it. */
-        double costNs = 0.0;
-
-        /** Fold one measurement into costNs. Samples are clamped to
-         *  >= 1 ns: a unit cheaper than the clock tick would otherwise
-         *  collide with the never-measured sentinel and re-seed every
-         *  round. */
-        void recordCost(uint64_t ns);
     };
 
     EndpointState &stateFor(TokenEndpoint *endpoint);
@@ -930,8 +900,8 @@ class TokenFabric
     /** Run one unit (skipped when its endpoint does not run). */
     void execUnit(const AdvanceUnit &unit);
     /** Parallel phase 2 for one pass: worker w runs units w, w+W, ...,
-     *  timing each into its cost and the worker's busy time. */
-    void dispatchUnits(std::vector<AdvanceUnit> &units);
+     *  timing each into the worker's busy time. */
+    void dispatchUnits(const std::vector<AdvanceUnit> &units);
 
     Cycles functionalWindow = 0; //!< 0 = cycle-exact timing
     std::vector<Link> pendingLinks;

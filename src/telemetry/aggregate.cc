@@ -34,6 +34,17 @@ putDoubleBits(std::string &out, double v)
         out.push_back(static_cast<char>((bits >> (8 * i)) & 0xff));
 }
 
+/** tryGetVarint for peer bytes: an encoding longer than ten bytes,
+ *  which tryGetVarint panics on, is just a malformed payload here. */
+bool
+tryGetPeerVarint(const std::string &in, size_t &pos, uint64_t &out)
+{
+    for (size_t i = pos; i < in.size() && i < pos + 10; ++i)
+        if (!(static_cast<uint8_t>(in[i]) & 0x80))
+            return tryGetVarint(in, pos, out);
+    return false;
+}
+
 bool
 tryGetDoubleBits(const std::string &in, size_t &pos, double &v)
 {
@@ -53,7 +64,7 @@ bool
 tryGetBytes(const std::string &in, size_t &pos, size_t len,
             std::string &out)
 {
-    if (pos + len > in.size())
+    if (len > in.size() - pos) // pos + len could wrap
         return false;
     out.assign(in, pos, len);
     pos += len;
@@ -84,6 +95,10 @@ encodeRankTelemetry(const RankTelemetry &rt)
     putVarint(out, rt.stats.values.size());
     const std::string *prev = nullptr;
     for (const auto &[name, value] : rt.stats.values) {
+        FS_ASSERT(name.size() <= kMaxStatNameBytes,
+                  "stat name '%s' is %zu bytes, over the %zu-byte "
+                  "RankTelemetry cap",
+                  name.c_str(), name.size(), kMaxStatNameBytes);
         // Registry order is sorted, so consecutive names share long
         // dotted prefixes; ship (shared, suffix) instead of the name.
         size_t shared = prev ? commonPrefix(*prev, name) : 0;
@@ -116,13 +131,13 @@ decodeRankTelemetry(const std::string &bytes, RankTelemetry &out)
 {
     size_t p = 0;
     uint64_t version, rank, round, cycle, nstats;
-    if (!tryGetVarint(bytes, p, version) ||
+    if (!tryGetPeerVarint(bytes, p, version) ||
         version != kRankTelemetryVersion)
         return false;
-    if (!tryGetVarint(bytes, p, rank) ||
-        !tryGetVarint(bytes, p, round) ||
-        !tryGetVarint(bytes, p, cycle) ||
-        !tryGetVarint(bytes, p, nstats))
+    if (!tryGetPeerVarint(bytes, p, rank) ||
+        !tryGetPeerVarint(bytes, p, round) ||
+        !tryGetPeerVarint(bytes, p, cycle) ||
+        !tryGetPeerVarint(bytes, p, nstats))
         return false;
     out = RankTelemetry{};
     out.rank = static_cast<uint32_t>(rank);
@@ -139,10 +154,11 @@ decodeRankTelemetry(const std::string &bytes, RankTelemetry &out)
     std::string name;
     for (uint64_t i = 0; i < nstats; ++i) {
         uint64_t shared, suffix_len;
-        if (!tryGetVarint(bytes, p, shared) ||
-            !tryGetVarint(bytes, p, suffix_len))
+        if (!tryGetPeerVarint(bytes, p, shared) ||
+            !tryGetPeerVarint(bytes, p, suffix_len))
             return false;
-        if (shared > name.size())
+        if (shared > name.size() ||
+            suffix_len > kMaxStatNameBytes - shared)
             return false;
         std::string suffix;
         if (!tryGetBytes(bytes, p, suffix_len, suffix))
@@ -155,7 +171,7 @@ decodeRankTelemetry(const std::string &bytes, RankTelemetry &out)
         double value;
         if (tag == kValInt) {
             uint64_t zz;
-            if (!tryGetVarint(bytes, p, zz))
+            if (!tryGetPeerVarint(bytes, p, zz))
                 return false;
             value = static_cast<double>(unzigzag(zz));
         } else if (tag == kValDouble) {
@@ -168,7 +184,7 @@ decodeRankTelemetry(const std::string &bytes, RankTelemetry &out)
     }
 
     uint64_t nphases;
-    if (!tryGetVarint(bytes, p, nphases))
+    if (!tryGetPeerVarint(bytes, p, nphases))
         return false;
     // Same clamp as above: a phase entry is >= 11 bytes (name length,
     // two varints, 8-byte double), so the count cannot exceed that.
@@ -177,10 +193,10 @@ decodeRankTelemetry(const std::string &bytes, RankTelemetry &out)
     for (uint64_t i = 0; i < nphases; ++i) {
         uint64_t name_len, start, cycles;
         SimRateTelemetry::Phase ph;
-        if (!tryGetVarint(bytes, p, name_len) ||
+        if (!tryGetPeerVarint(bytes, p, name_len) ||
             !tryGetBytes(bytes, p, name_len, ph.name) ||
-            !tryGetVarint(bytes, p, start) ||
-            !tryGetVarint(bytes, p, cycles) ||
+            !tryGetPeerVarint(bytes, p, start) ||
+            !tryGetPeerVarint(bytes, p, cycles) ||
             !tryGetDoubleBits(bytes, p, ph.hostSeconds))
             return false;
         ph.startCycle = start;

@@ -25,6 +25,7 @@
 #ifndef FIRESIM_TELEMETRY_AGGREGATE_HH
 #define FIRESIM_TELEMETRY_AGGREGATE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -39,6 +40,22 @@ namespace firesim
 
 /** Bumped when the RankTelemetry payload layout changes. */
 constexpr uint32_t kRankTelemetryVersion = 1;
+
+/**
+ * Longest stat name the payload carries. Prefix compression lets each
+ * stat extend the previous name by one byte for about five wire bytes,
+ * and the decoder stores every name in full, so without a cap a
+ * payload of n bytes decodes into O(n^2) bytes of names. With it a
+ * stat (at least 4 wire bytes) holds at most a 128-byte name, so a
+ * 1 MiB Stats frame decodes into at most ~42 MiB instead of ~15 GB.
+ * The longest name a 1024-node Table III cluster registers is 42
+ * bytes (`cluster.node1000.blockdev.interruptsRaised`), 48 with a
+ * hart per blade (`cluster.node1000.hart0.host.decode.invalidations`);
+ * 128 leaves room for deeper topologies and longer component names.
+ * The encoder asserts the cap, so a real registry never produces a
+ * payload the decoder refuses.
+ */
+constexpr size_t kMaxStatNameBytes = 128;
 
 /** One rank's point-in-time telemetry, as shipped to rank 0. */
 struct RankTelemetry
@@ -58,7 +75,8 @@ struct RankTelemetry
 std::string encodeRankTelemetry(const RankTelemetry &rt);
 
 /** Strict decode; false (with @p out unspecified) on malformed or
- *  truncated bytes — network payloads never panic. */
+ *  truncated bytes, or a stat name over kMaxStatNameBytes — network
+ *  payloads never panic. */
 bool decodeRankTelemetry(const std::string &bytes, RankTelemetry &out);
 
 /**

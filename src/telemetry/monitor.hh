@@ -26,8 +26,11 @@
  *
  * Everything here reads simulation state and host clocks only — a
  * monitored run stays byte-identical to an unmonitored one, and with
- * MonitorConfig::enabled() false the Cluster allocates nothing
- * (bench_telemetry_overhead holds the heartbeat-on overhead to <1%).
+ * MonitorConfig::enabled() false the Cluster allocates nothing.
+ * bench_telemetry_overhead gates the heartbeat-on overhead at 1% and
+ * currently fails that gate (42-45% on a 4-core host): the monitor is
+ * a FabricObserver, and any attached observer makes the fabric step
+ * every round, while an unmonitored run skips idle rounds.
  */
 
 #ifndef FIRESIM_TELEMETRY_MONITOR_HH

@@ -263,32 +263,6 @@ TEST(KnobParseDeath, ShardTransportIsStrict)
     EXPECT_TRUE(rejects(flagError({"--shard-shm-ring=0"}), "at least 1"));
 }
 
-TEST(KnobParse, ShardPolicyAndProfileFlagsRoundTrip)
-{
-    BenchFlags f;
-    EXPECT_EQ(f.cluster.shard.policy, ShardPolicy::Block)
-        << "block is the default";
-    ASSERT_EQ(parse({"--shard-policy=cost"}, f), "");
-    EXPECT_EQ(f.cluster.shard.policy, ShardPolicy::Cost);
-    ASSERT_EQ(parse({"--shard-policy=block"}, f), "");
-    EXPECT_EQ(f.cluster.shard.policy, ShardPolicy::Block);
-    ASSERT_EQ(parse({"--shard-profile-in=/tmp/fs.prof",
-                     "--shard-profile-out=/tmp/fs-out.prof"},
-                    f),
-              "");
-    EXPECT_EQ(f.cluster.shard.profileIn, "/tmp/fs.prof");
-    EXPECT_EQ(f.cluster.shard.profileOut, "/tmp/fs-out.prof");
-}
-
-TEST(KnobParseDeath, ShardPolicyIsStrict)
-{
-    EXPECT_TRUE(rejects(flagError({"--shard-policy=greedy"}),
-                        "block or cost"));
-    EXPECT_TRUE(rejects(flagError({"--shard-policy="}), "--shard-policy"));
-    EXPECT_TRUE(rejects(flagError({"--shard-policy=Cost"}),
-                        "block or cost"));
-}
-
 TEST(KnobParse, StragglerAlphaRoundTrips)
 {
     BenchFlags f;

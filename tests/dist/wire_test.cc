@@ -10,6 +10,7 @@
 #include <string>
 
 #include "base/random.hh"
+#include "base/varint.hh"
 #include "net/remote/wire.hh"
 
 namespace firesim
@@ -164,6 +165,27 @@ TEST(WireDeath, MalformedFrameTypePanics)
     size_t pos = 0;
     Frame f;
     EXPECT_DEATH(decodeFrame(buf, pos, f), "");
+}
+
+TEST(WireDeath, HostileFlitCountDiesOnTruncationNotAllocation)
+{
+    // A 14-byte batch frame whose peer-controlled len and flit count
+    // are both 2^32-1 but whose body holds no flit at all. Reserving
+    // the claimed count would ask for 64 GiB and throw bad_alloc on
+    // the receive path; the decoder must panic on the truncation.
+    std::string body;
+    putVarint(body, 0);           // link id
+    putVarint(body, 0);           // start
+    putVarint(body, 0xffffffffu); // len
+    putVarint(body, 0xffffffffu); // nflits
+    std::string buf;
+    buf.push_back(static_cast<char>(FrameType::Batch));
+    putVarint(buf, body.size());
+    buf += body;
+    ASSERT_EQ(buf.size(), 14u);
+    size_t pos = 0;
+    Frame f;
+    EXPECT_DEATH(decodeFrame(buf, pos, f), "wire: truncated flit meta");
 }
 
 } // namespace

@@ -12,8 +12,7 @@
  *
  * Dispatch contract: at every pool width each advance unit (monolithic
  * advance, sliced prologue, slice) of an endpoint that is not quiet
- * runs exactly once per round, every endpoint gets a measured cost
- * after a parallel run, and the per-worker load accounting
+ * runs exactly once per round, and the per-worker load accounting
  * (SchedTelemetry) computes its ratio right.
  */
 
@@ -373,35 +372,6 @@ TEST(SchedFabric, EveryUnitRunsExactlyOncePerRoundAtEveryWidth)
         EXPECT_EQ(units_run, width >= 2 ? 16u * 25u : 0u)
             << "width " << width;
     }
-}
-
-TEST(SchedFabric, ParallelRunMeasuresEveryEndpointCost)
-{
-    // No traffic: the idle switches are quiet and never run, and the
-    // scripted blades are about as cheap as an advance gets, so their
-    // samples can read 0 ns on a coarse clock. A quiet round records
-    // the >= 1 ns clamp, so every endpoint must still end up with a
-    // positive, measured cost.
-    TwoSwitchRig rig(2);
-    rig.fabric.setParallelHosts(2);
-    rig.fabric.run(rig.fabric.quantum() * 20);
-    for (size_t i = 0; i < rig.fabric.endpointCount(); ++i)
-        EXPECT_GT(rig.fabric.endpointCostNs(i), 0.0)
-            << rig.fabric.endpointAt(i).name();
-
-    // Dropping back to one thread forgets the pool's measurements.
-    rig.fabric.setParallelHosts(1);
-    for (size_t i = 0; i < rig.fabric.endpointCount(); ++i)
-        EXPECT_EQ(rig.fabric.endpointCostNs(i), 0.0);
-}
-
-TEST(SchedFabric, SingleThreadRunMeasuresNoCost)
-{
-    TwoSwitchRig rig(2);
-    rig.fabric.run(rig.fabric.quantum() * 20);
-    for (size_t i = 0; i < rig.fabric.endpointCount(); ++i)
-        EXPECT_EQ(rig.fabric.endpointCostNs(i), 0.0)
-            << rig.fabric.endpointAt(i).name();
 }
 
 TEST(SchedTelemetry, MaxMeanBusyRatioWeightsByRound)

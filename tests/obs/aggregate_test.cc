@@ -234,6 +234,100 @@ TEST(RankTelemetryCodec, HostileCountsCannotReserveUnboundedMemory)
         << "peer-controlled phase count drove the reserve";
 }
 
+/** A payload header (version, rank 0, round 1, cycle 2) announcing
+ *  @p nstats stats. */
+std::string
+payloadHeader(uint64_t nstats)
+{
+    std::string bytes;
+    putVarint(bytes, kRankTelemetryVersion);
+    putVarint(bytes, 0);
+    putVarint(bytes, 1);
+    putVarint(bytes, 2);
+    putVarint(bytes, nstats);
+    return bytes;
+}
+
+/** Append one stat that keeps @p shared bytes of the previous name
+ *  and adds @p suffix, with integer value 0. */
+void
+putStat(std::string &bytes, uint64_t shared, const std::string &suffix)
+{
+    putVarint(bytes, shared);
+    putVarint(bytes, suffix.size());
+    bytes += suffix;
+    bytes.push_back(0); // integer tag
+    putVarint(bytes, 0);
+}
+
+TEST(RankTelemetryCodec, PrefixChainsCannotGrowNamesPastTheCap)
+{
+    // Each stat keeps the whole previous name and adds one byte: six
+    // payload bytes per stat, but the decoder stores every name in
+    // full, so n stats would hold n^2/2 bytes of names. The chain is
+    // accepted up to kMaxStatNameBytes and refused one byte later.
+    const size_t n = kMaxStatNameBytes;
+    std::string bytes = payloadHeader(n);
+    for (size_t i = 0; i < n; ++i)
+        putStat(bytes, i, "x");
+    std::string ok = bytes;
+    putVarint(ok, 0); // no phases
+    RankTelemetry out;
+    ASSERT_TRUE(decodeRankTelemetry(ok, out));
+    EXPECT_EQ(out.stats.values.back().first.size(), kMaxStatNameBytes);
+
+    std::string over = payloadHeader(4 * n);
+    for (size_t i = 0; i < 4 * n; ++i)
+        putStat(over, i, "x");
+    putVarint(over, 0);
+    RankTelemetry out2;
+    EXPECT_FALSE(decodeRankTelemetry(over, out2))
+        << "a " << 4 * n << "-byte stat name decoded";
+
+    // One suffix over the cap is refused as well.
+    std::string wide = payloadHeader(1);
+    putStat(wide, 0, std::string(kMaxStatNameBytes + 1, 'y'));
+    putVarint(wide, 0);
+    EXPECT_FALSE(decodeRankTelemetry(wide, out2));
+}
+
+TEST(RankTelemetryCodec, OverlongVarintIsRejectedNotFatal)
+{
+    // Eleven continuation bytes where the stat count belongs: the
+    // shared varint reader panics on that, the peer decoder must not.
+    std::string bytes;
+    putVarint(bytes, kRankTelemetryVersion);
+    putVarint(bytes, 0);
+    putVarint(bytes, 1);
+    putVarint(bytes, 2);
+    bytes += std::string(11, static_cast<char>(0x80));
+    bytes.push_back(1);
+    RankTelemetry out;
+    EXPECT_FALSE(decodeRankTelemetry(bytes, out));
+}
+
+TEST(RankTelemetryCodec, LengthThatWrapsTheCursorIsRejected)
+{
+    // A phase-name length of 2^64-1: added to the read position it
+    // wraps to one byte *before* the name, so a wrapping bounds check
+    // accepts it and the decoder re-reads the length's last byte as
+    // the phase's start cycle.
+    std::string bytes = payloadHeader(0);
+    putVarint(bytes, 1);         // one phase
+    putVarint(bytes, ~0ULL);     // its name length
+    putVarint(bytes, 0);         // target cycles (start is re-read)
+    bytes += std::string(8, 0);  // host seconds
+    RankTelemetry out;
+    EXPECT_FALSE(decodeRankTelemetry(bytes, out));
+}
+
+TEST(RankTelemetryCodecDeath, EncoderAssertsTheNameCap)
+{
+    RankTelemetry rt;
+    rt.stats.values = {{std::string(kMaxStatNameBytes + 1, 'z'), 1.0}};
+    EXPECT_DEATH(encodeRankTelemetry(rt), "RankTelemetry cap");
+}
+
 TEST(StatAggregator, MergedTraceAlignsLanesOnSimulatedCycles)
 {
     StatAggregator agg;
